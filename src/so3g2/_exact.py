@@ -9,10 +9,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def mat_copy(m):
-    return [list(row) for row in m]
-
-
 def _fractionize(m):
     return [[Fraction(v) for v in row] for row in m]
 
@@ -122,9 +118,3 @@ def _congruence_swap(a, i, j):
     a[i], a[j] = a[j], a[i]
     for row in a:
         row[i], row[j] = row[j], row[i]
-
-
-def nullspace_dim(m):
-    if not m:
-        return 0
-    return len(m[0]) - mat_rank(m)

@@ -322,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--tol", type=float, default=None, help="tolerance override")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1, help="accepted for sweeps; "
-                        "suites are fast enough single-threaded")
     ap = argparse.ArgumentParser(prog="so3g2", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .binaryform import BinaryForm
-from .exterior import CEOperator, DIM, d_squared_residual
+from .exterior import CEOperator, DIM, require_lie_algebra
 from .variety import ModelPoint, bracket_constants, structure_constants, torsion_of
 
 F = Fraction
@@ -67,58 +67,38 @@ class CurvatureReport:
         }
 
 
-def connection_coefficients(d: CEOperator):
-    """Levi-Civita coefficients G[i][j][k] = <nabla_{e_i} e_j, e_k> for the
-    orthonormal coframe, from 2<nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y>."""
-    c = bracket_constants(d)
-
-    def cc(i, j, k):
-        return c[k][i][j]
-
-    half = F(1, 2) if _exact_operator(d) else 0.5
-    gam = [[[half * (cc(i, j, k) - cc(j, k, i) + cc(k, i, j))
-             for k in range(DIM)] for j in range(DIM)] for i in range(DIM)]
-    return gam
+def koszul_connection(c: np.ndarray) -> np.ndarray:
+    """Levi-Civita coefficients gam[i,j,k] = <nabla_{e_i} e_j, e_k> of an
+    orthonormal frame with brackets [e_i, e_j] = sum_k c[k,i,j] e_k, from
+    2<nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y> (Milnor 1976)."""
+    return 0.5 * (np.einsum("kij->ijk", c) - c + np.einsum("jki->ijk", c))
 
 
-def _exact_operator(d: CEOperator) -> bool:
-    return all(
-        isinstance(v, (int, Fraction))
-        for im in d.images
-        for v in im.coeffs.values()
-    )
+def koszul_riemann(c: np.ndarray, gam: np.ndarray, dgam: np.ndarray | None = None) -> np.ndarray:
+    """R[i,j,k,l] = <R(e_i, e_j) e_k, e_l> with
+    R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y].
+
+    dgam[i] = e_i(gam) is the frame derivative of the connection
+    coefficients; it vanishes (and may be omitted) for a left-invariant
+    frame.
+    """
+    a = np.einsum("jkm,iml->ijkl", gam, gam)
+    if dgam is not None:
+        a = a + dgam
+    return a - a.transpose(1, 0, 2, 3) - np.einsum("mij,mkl->ijkl", c, gam)
 
 
-def riemann_tensor(d: CEOperator):
-    """Riem[i][j][k][l] = <R(e_i, e_j) e_k, e_l> with
-    R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y]."""
-    residual = d_squared_residual(d)
-    if (_exact_operator(d) and residual != 0) or float(residual) > 1e-9:
-        raise ValueError("not a Lie algebra: d^2 != 0")
-    gam = connection_coefficients(d)
-    c = bracket_constants(d)
-    riem = [[[[0] * DIM for _ in range(DIM)] for _ in range(DIM)] for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            for k in range(DIM):
-                for l in range(DIM):
-                    val = 0
-                    for m in range(DIM):
-                        val += gam[j][k][m] * gam[i][m][l]
-                        val -= gam[i][k][m] * gam[j][m][l]
-                        val -= c[m][i][j] * gam[m][k][l]
-                    riem[i][j][k][l] = val
-                    riem[j][i][k][l] = -val
-    return riem
+def riemann_tensor(d: CEOperator) -> np.ndarray:
+    """Riemann tensor of the left-invariant metric with orthonormal coframe."""
+    require_lie_algebra(d)
+    c = np.array(bracket_constants(d), dtype=float)
+    return koszul_riemann(c, koszul_connection(c))
 
 
 def levi_civita_oracle(d: CEOperator) -> CurvatureReport:
     """Full curvature of the left-invariant metric with orthonormal coframe."""
     riem = riemann_tensor(d)
-    ric = np.zeros((DIM, DIM))
-    for j in range(DIM):
-        for k in range(DIM):
-            ric[j, k] = float(sum(riem[i][j][k][i] for i in range(DIM)))
+    ric = np.einsum("ijki->jk", riem)
     scalar = float(np.trace(ric))
     ric0 = ric - (scalar / DIM) * np.eye(DIM)
     weyl = _weyl_tensor(riem, ric, scalar)
@@ -131,34 +111,21 @@ def levi_civita_oracle(d: CEOperator) -> CurvatureReport:
 
 
 def _weyl_tensor(riem, ric, scalar):
-    """Weyl part of the (4,0) curvature in an orthonormal frame."""
+    """Weyl part of the (4,0) curvature in an orthonormal frame:
+    W = R - (Ric o g) / (n-2) + s (g o g) / (2 (n-1)(n-2)), where o is the
+    Kulkarni-Nomizu product in the index order of ``koszul_riemann``."""
     n = DIM
-    w = np.zeros((n, n, n, n))
     g = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    val = float(riem[i][j][k][l])
-                    val -= (
-                        g[i, k] * ric[j, l] - g[i, l] * ric[j, k]
-                        + g[j, l] * ric[i, k] - g[j, k] * ric[i, l]
-                    ) / (n - 2)
-                    val += scalar * (g[i, k] * g[j, l] - g[i, l] * g[j, k]) / ((n - 1) * (n - 2))
-                    w[i, j, k, l] = val
-    return w
+    ric_g = np.einsum("jk,il->ijkl", ric, g) + np.einsum("jk,il->ijkl", g, ric)
+    gg = np.einsum("jk,il->ijkl", g, g)
+    return (riem - (ric_g - ric_g.transpose(1, 0, 2, 3)) / (n - 2)
+            + scalar * (gg - gg.transpose(1, 0, 2, 3)) / ((n - 1) * (n - 2)))
 
 
 def first_bianchi_residual(d: CEOperator) -> float:
     riem = riemann_tensor(d)
-    worst = 0.0
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                for l in range(DIM):
-                    r = float(riem[i][j][k][l] + riem[j][k][i][l] + riem[k][i][j][l])
-                    worst = max(worst, abs(r))
-    return worst
+    cycle = riem + np.einsum("jkil->ijkl", riem) + np.einsum("kijl->ijkl", riem)
+    return float(np.max(np.abs(cycle)))
 
 
 def ricci_closed_form(t: TCoords):

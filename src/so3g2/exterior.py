@@ -120,6 +120,9 @@ class KForm:
     def __mul__(self, c: Scalar) -> "KForm":
         return c * self
 
+    def __truediv__(self, c: Scalar) -> "KForm":
+        return (1 / c) * self
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, KForm)
@@ -310,3 +313,13 @@ def d_squared_residual(d: CEOperator) -> Scalar:
         if m > worst:
             worst = m
     return worst
+
+
+def require_lie_algebra(d: CEOperator) -> None:
+    """Raise ValueError unless d satisfies the Jacobi identity: exactly when
+    every coefficient is exact, beyond roundoff (1e-9) otherwise."""
+    residual = d_squared_residual(d)
+    exact = all(isinstance(v, (int, Fraction))
+                for im in d.images for v in im.coeffs.values())
+    if (exact and residual != 0) or float(residual) > 1e-9:
+        raise ValueError("not a Lie algebra: d^2 != 0")

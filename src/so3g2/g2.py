@@ -24,10 +24,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .binaryform import GL2
+from .curvature import koszul_connection, koszul_riemann
 from .exterior import CEOperator, KForm, apply_d, wedge
 from .flow import Trajectory
 from .stableform import SIGMA, cubic_to_3form, hitchin_dual
-from .variety import LieAlgebraClass, ModelPoint, classify
+from .variety import LieAlgebraClass, ModelPoint, bracket_constants, classify
 
 
 @dataclass
@@ -110,6 +111,13 @@ def assemble_g2(traj: Trajectory) -> list[G2Sample]:
     return samples
 
 
+def central_difference(f: Callable, h: float):
+    """Fourth-order central difference (f(-2) - 8 f(-1) + 8 f(1) - f(2)) / (12 h),
+    where f(k) is the value k steps of size h away from the centre.  The
+    values may be floats, arrays or KForms."""
+    return (f(-2) - 8.0 * f(-1) + 8.0 * f(1) - f(2)) / (12.0 * h)
+
+
 def check_closedness(samples: Sequence[G2Sample], d: CEOperator,
                      star_dt_sign: float = 1.0):
     """(max |d phi|, max |d star_phi|) over interior samples.
@@ -128,8 +136,7 @@ def check_closedness(samples: Sequence[G2Sample], d: CEOperator,
     d = d.to_float()
 
     def ddt(forms, i):
-        c = [forms[i - 2], forms[i - 1], forms[i + 1], forms[i + 2]]
-        return (1.0 / (12.0 * h)) * (c[0] + (-8.0) * c[1] + 8.0 * c[2] + (-1.0) * c[3])
+        return central_difference(lambda k: forms[i + k], h)
 
     max_dphi = 0.0
     max_dstar = 0.0
@@ -282,46 +289,20 @@ def ricci7(family: MetricFamily, d: CEOperator, z: float,
     """Numerical Ricci (7x7, orthonormal frame) of
     rad dz^2 + base (odd block) + fib (even block) over the algebra d.
 
-    Uses the orthonormal-frame Koszul formula with the z-derivative of
-    the connection coefficients taken by fourth-order central differences.
+    Runs the Koszul curvature kernel on the frame brackets; the
+    z-derivative of the connection coefficients, taken by fourth-order
+    central differences, enters as the frame derivative along E_0.
     """
-    d = d.to_float()
-
-    def gammas(zv: float) -> np.ndarray:
-        return _connection7(family, d, zv)
-
-    g0 = gammas(z)
-    dgam = (gammas(z - 2 * dz) - 8.0 * gammas(z - dz)
-            + 8.0 * gammas(z + dz) - gammas(z + 2 * dz)) / (12.0 * dz)
-    e0_factor = 1.0 / math.sqrt(family.rad(z))
     c = _structure7(family, d, z)
-    n = 7
-    ric = np.zeros((n, n))
-    for b in range(n):
-        for cc in range(n):
-            val = 0.0
-            for a in range(n):
-                # R_{a b cc a}
-                term = 0.0
-                if a == 0:
-                    term += e0_factor * dgam[b, cc, a]
-                if b == 0:
-                    term -= e0_factor * dgam[a, cc, a]
-                term += np.dot(g0[b, cc, :], g0[a, :, a])
-                term -= np.dot(g0[a, cc, :], g0[b, :, a])
-                term -= np.dot(c[:, a, b], g0[:, cc, a])
-                val += term
-            ric[b, cc] = val
-    return ric
+    dgam = np.zeros((7,) * 4)
+    dgam[0] = central_difference(
+        lambda k: koszul_connection(_structure7(family, d, z + k * dz)), dz
+    ) * (1.0 / math.sqrt(family.rad(z)))
+    return np.einsum("ijki->jk", koszul_riemann(c, koszul_connection(c), dgam))
 
 
-def _scales(family: MetricFamily, z: float):
-    return [math.sqrt(v) for v in (
-        family.rad(z),
-        family.base(z), family.fib(z),
-        family.base(z), family.fib(z),
-        family.base(z), family.fib(z),
-    )]
+def _scales(family: MetricFamily, z: float) -> np.ndarray:
+    return np.sqrt([family.rad(z)] + [family.base(z), family.fib(z)] * 3)
 
 
 def _structure7(family: MetricFamily, d: CEOperator, z: float,
@@ -329,37 +310,14 @@ def _structure7(family: MetricFamily, d: CEOperator, z: float,
     """c[e, a, b] with [E_a, E_b] = sum_e c[e,a,b] E_e for the orthonormal
     frame E_0 = rad^(-1/2) d/dz, E_i = f_i^(-1/2) e_i."""
     f = _scales(family, z)
-    m2 = _scales(family, z - 2 * dz)
-    m1 = _scales(family, z - dz)
-    p1 = _scales(family, z + dz)
-    p2 = _scales(family, z + 2 * dz)
-    fp = [(a - 8.0 * b + 8.0 * c - e) / (12.0 * dz)
-          for a, b, c, e in zip(m2, m1, p1, p2)]
+    fp = central_difference(lambda k: _scales(family, z + k * dz), dz)
     c = np.zeros((7, 7, 7))
     # [E_0, E_i] = -(f_i'/ (f_i sqrt(rad))) E_i
-    for i in range(1, 7):
-        coef = fp[i] / (f[i] * f[0])
-        c[i, 0, i] = -coef
-        c[i, i, 0] = coef
+    i = np.arange(1, 7)
+    coef = fp[1:] / (f[1:] * f[0])
+    c[i, 0, i] = -coef
+    c[i, i, 0] = coef
     # group part: [e_i, e_j] = sum c^k_ij e_k, rescaled
-    from .variety import bracket_constants
-    ck = bracket_constants(d)
-    for i in range(1, 7):
-        for j in range(1, 7):
-            for k in range(1, 7):
-                val = float(ck[k - 1][i - 1][j - 1])
-                if val == 0.0:
-                    continue
-                c[k, i, j] += val * f[k] / (f[i] * f[j])
+    c[1:, 1:, 1:] = (np.array(bracket_constants(d), dtype=float)
+                     * f[1:, None, None] / np.multiply.outer(f[1:], f[1:]))
     return c
-
-
-def _connection7(family: MetricFamily, d: CEOperator, z: float) -> np.ndarray:
-    c = _structure7(family, d, z)
-    n = 7
-    gam = np.zeros((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for e in range(n):
-                gam[a, b, e] = 0.5 * (c[e, a, b] - c[a, b, e] + c[b, e, a])
-    return gam

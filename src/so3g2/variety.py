@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import _exact
 from .binaryform import BinaryForm, GL2, act, discriminant, resultant, split_b1_b2
-from .exterior import CEOperator, DIM, KForm, apply_d, d_squared_residual, interior, wedge
+from .exterior import CEOperator, DIM, KForm, apply_d, interior, require_lie_algebra, wedge
 from .stableform import GAMMA_HAT, SIGMA, standard_forms
 
 F = Fraction
@@ -414,11 +414,7 @@ def killing_form(d: CEOperator):
     Raises on operators that fail the Jacobi identity (exactly for exact
     scalars, beyond roundoff for floats).
     """
-    residual = d_squared_residual(d)
-    exact = all(isinstance(v, (int, Fraction))
-                for im in d.images for v in im.coeffs.values())
-    if (exact and residual != 0) or float(residual) > 1e-9:
-        raise ValueError("not a Lie algebra: d^2 != 0")
+    require_lie_algebra(d)
     c = bracket_constants(d)
     b = [[0] * DIM for _ in range(DIM)]
     for i in range(DIM):

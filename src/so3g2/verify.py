@@ -57,6 +57,7 @@ from .g2 import (
     assemble_g2,
     case2_family,
     case3_family,
+    central_difference,
     check_closedness,
     frame_metric6,
     ricci7,
@@ -700,8 +701,7 @@ def suite_hamiltonian(seed: int = 9, tol: float = 1e-8) -> SuiteResult:
             a2 = st.detg ** 2 - 1.0
             worst_h = max(worst_h, abs(hamiltonian(a1, a2, p)))
             if 2 <= i < len(svals) - 2:
-                ds = (svals[i - 2] - 8 * svals[i - 1] + 8 * svals[i + 1]
-                      - svals[i + 2]) / (12 * h)
+                ds = central_difference(lambda k: svals[i + k], h)
                 worst_rate = max(worst_rate,
                                  abs(ds - st.detg),
                                  abs(ds - math.sqrt(1.0 + a2)))

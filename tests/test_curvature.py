@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,9 +11,12 @@ from so3g2.curvature import (
     conformally_flat_check,
     einstein_locus_check,
     first_bianchi_residual,
+    koszul_connection,
+    koszul_riemann,
     levi_civita_oracle,
     model_tcoords,
     ricci_closed_form,
+    riemann_tensor,
 )
 from so3g2.exterior import CEOperator, KForm
 from so3g2.variety import ModelPoint, structure_constants
@@ -39,6 +43,53 @@ def test_bi_invariant_point_scalar():
     assert rep.ricci_traceless_norm < 1e-14
     # unit-coframe convention: six directions of Einstein constant one
     assert abs(rep.scalar - 6.0) < 1e-12
+
+
+def _koszul_loops(c, dgam):
+    """Reference: the Koszul connection and Riemann tensor written as loops."""
+    n = len(c)
+    gam = np.zeros((n, n, n))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        gam[i, j, k] = 0.5 * (c[k, i, j] - c[i, j, k] + c[j, k, i])
+    riem = np.zeros((n, n, n, n))
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        val = dgam[i, j, k, l] - dgam[j, i, k, l]
+        for m in range(n):
+            val += gam[j, k, m] * gam[i, m, l] - gam[i, k, m] * gam[j, m, l]
+            val -= c[m, i, j] * gam[m, k, l]
+        riem[i, j, k, l] = val
+    return gam, riem
+
+
+def test_koszul_kernel_matches_loops():
+    # generic brackets (no Jacobi needed) and a generic frame derivative in 7 dims
+    gen = np.random.default_rng(20240915)
+    c = gen.uniform(-1, 1, (7, 7, 7))
+    c = c - c.transpose(0, 2, 1)
+    dgam = gen.uniform(-1, 1, (7, 7, 7, 7))
+    gam_ref, riem_ref = _koszul_loops(c, dgam)
+    gam = koszul_connection(c)
+    assert np.max(np.abs(gam - gam_ref)) < 1e-14
+    assert np.max(np.abs(koszul_riemann(c, gam, dgam) - riem_ref)) < 1e-12
+    assert np.max(np.abs(koszul_riemann(c, gam) - _koszul_loops(c, 0 * dgam)[1])) < 1e-12
+
+
+def test_bi_invariant_point_weyl_norm():
+    # S^3 x S^3 with sectional curvature 1/2 on each factor: |W|^2 = 18/5
+    m = ModelPoint.make([1.0, 0.0], [1.0, 0.0, -1.0])
+    rep = levi_civita_oracle(structure_constants(m))
+    assert abs(rep.weyl_norm ** 2 - 18.0 / 5.0) < 1e-12
+
+
+def test_weyl_norm_identity(rng):
+    # |W|^2 = |R|^2 - 4 |Ric|^2 / (n-2) + 2 s^2 / ((n-1)(n-2)) for n = 6
+    for _ in range(30):
+        d = structure_constants(random_float_point(rng))
+        rep = levi_civita_oracle(d)
+        riem = np.asarray(riemann_tensor(d), dtype=float)
+        expected = (np.sum(riem * riem) - np.sum(rep.ricci * rep.ricci)
+                    + rep.scalar ** 2 / 10.0)
+        assert abs(rep.weyl_norm ** 2 - expected) < 1e-12 * max(1.0, rep.scalar ** 2)
 
 
 def test_closed_form_matches_oracle(rng):

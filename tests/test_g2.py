@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_float_point
 from so3g2.binaryform import BinaryForm, GL2
 from so3g2.flow import (
     FlowState,
@@ -27,6 +28,7 @@ from so3g2.g2 import (
     triality_action,
     triality_matrix,
 )
+from so3g2.curvature import levi_civita_oracle
 from so3g2.variety import ModelPoint, structure_constants
 
 
@@ -206,6 +208,19 @@ def test_ricci7_spot_checks():
     m2 = ModelPoint.make([1.0, 0.0], [0.0, 0.0, -1.0])
     d2 = structure_constants(m2)
     assert np.max(np.abs(ricci7(case2_family(1.0), d2, 0.8))) > 1e-1
+
+
+def test_ricci7_of_product_matches_six_dim_oracle(rng):
+    # constant coefficients: the product of a line with the group metric
+    product = MetricFamily(base=lambda z: 1.0, fib=lambda z: 1.0, rad=lambda z: 1.0)
+    for _ in range(10):
+        d = structure_constants(random_float_point(rng))
+        ric6 = levi_civita_oracle(d).ricci
+        ric7 = ricci7(product, d, rng.uniform(0.2, 2.0))
+        scale = max(1.0, float(np.max(np.abs(ric6))))
+        assert np.max(np.abs(ric7[1:, 1:] - ric6)) < 1e-12 * scale
+        assert np.max(np.abs(ric7[0, :])) < 1e-12 * scale
+        assert np.max(np.abs(ric7[:, 0])) < 1e-12 * scale
 
 
 def test_g2_sample_export():
