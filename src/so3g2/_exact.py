@@ -1,73 +1,128 @@
-"""Small exact linear algebra helpers over Fraction (or any exact field).
+"""Exact scalars and small exact linear algebra.
 
-Matrices are lists of lists; nothing here is sized beyond 6x6 or so, so
-plain fraction-free Gaussian elimination is all we need.
+The scalar policy of the package lives here: a computation is exact
+unless a float is present.  Python ints, Fractions and symbolic scalars
+count as exact; floats (``np.float64`` is a float) do not.  At integer
+model points the exact scalars are Python ints, which never overflow.
+
+Matrices are lists of lists of at most a few dozen rows.  Determinant
+and rank use fraction-free Gaussian elimination (Bareiss, 1968) on
+Python ints, whose divisions are exact; a rational matrix is first
+scaled row by row to integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
-def _fractionize(m):
-    return [[Fraction(v) for v in row] for row in m]
+def is_exact(values) -> bool:
+    """Whether no float is present among values."""
+    return not any(isinstance(v, float) for v in values)
+
+
+def _integer_copy(m):
+    """m scaled row by row to Python ints: (rows, scale, inexact).
+
+    Scaling a row changes neither the rank nor, up to the product `scale`
+    of the row scales, the determinant.  Python ints never wrap, as numpy
+    int64s would.  Floats become Fractions first (`inexact` records that),
+    so the elimination itself is always exact.
+    """
+    a = [list(row) for row in m]
+    if all(type(v) is int for row in a for v in row):
+        return a, 1, False
+    inexact = not is_exact(v for row in a for v in row)
+    scale = 1
+    for i, row in enumerate(a):
+        # int(): a Fraction made from a numpy int keeps numpy parts
+        row = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, row)]
+        s = math.lcm(*(den for _, den in row))
+        a[i] = [num * (s // den) for num, den in row]
+        scale *= s
+    return a, scale, inexact
 
 
 def mat_det(m):
-    """Determinant by fraction Gaussian elimination (exact input)."""
-    a = _fractionize(m)
+    """Determinant by Bareiss elimination; a float when a float is present."""
+    a, scale, inexact = _integer_copy(m)
     n = len(a)
-    det = Fraction(1)
-    sign = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0.0 if inexact else 0
+            a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        pval = a[col][col]
-        det *= pval
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] / pval
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return sign * det
+        pivot, row_k = a[k][k], a[k]
+        for r in range(k + 1, n):
+            row, f = a[r], a[r][k]
+            for c in range(k + 1, n):
+                row[c] = (pivot * row[c] - f * row_k[c]) // prev
+        prev = pivot
+    det = sign * a[n - 1][n - 1]
+    if scale != 1:
+        det = Fraction(det, scale)
+    return float(det) if inexact else det
 
 
 def mat_rank(m):
-    """Rank by exact row reduction."""
-    if not m:
-        return 0
-    a = _fractionize(m)
-    rows, cols = len(a), len(a[0])
-    rank = 0
+    """Rank by Bareiss row reduction; any row count, any column count."""
+    a, _, _ = _integer_copy(m)
+    rows, cols = len(a), (len(a[0]) if a else 0)
+    rank, prev = 0, 1
     for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r][col] != 0:
-                piv = r
-                break
+        if rank == rows:
+            break
+        piv = next((r for r in range(rank, rows) if a[r][col] != 0), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        pval = a[rank][col]
+        pivot, row_k = a[rank][col], a[rank]
         for r in range(rank + 1, rows):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] / pval
-            for c in range(col, cols):
-                a[r][c] -= f * a[rank][c]
+            row, f = a[r], a[r][col]
+            for c in range(col + 1, cols):
+                row[c] = (pivot * row[c] - f * row_k[c]) // prev
+        prev = pivot
         rank += 1
-        if rank == rows:
-            break
     return rank
+
+
+def nullspace(rows):
+    """A basis of the right null space of rows, over Fraction.
+
+    Reduced row echelon form: one basis vector per free column, with a 1
+    in that column and a 0 in every other free column.
+    """
+    a = [[Fraction(v) for v in r] for r in rows]
+    n = len(a[0])
+    piv_cols = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][col]
+        a[r] = [v / pv for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
+        piv_cols.append(col)
+        r += 1
+    basis = []
+    for fc in (c for c in range(n) if c not in piv_cols):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(piv_cols):
+            vec[pc] = -a[i][fc]
+        basis.append(vec)
+    return basis
 
 
 def sym_signature(m):

@@ -16,6 +16,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._exact import is_exact
+
 Scalar = Union[int, float, Fraction]
 
 
@@ -248,19 +250,15 @@ def split_b1_b2(x: BinaryForm, y: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
     x1, x2 = x.coeffs
     y1, y2, y3 = y.coeffs
     cubic = BinaryForm(3, [x1 * y1, x1 * y2 + x2 * y1, x1 * y3 + x2 * y2, x2 * y3])
-    two_thirds = Fraction(2, 3) if _all_exact(x.coeffs + y.coeffs) else 2.0 / 3.0
+    two_thirds = Fraction(2, 3) if is_exact(x.coeffs + y.coeffs) else 2.0 / 3.0
     linear = BinaryForm(1, [two_thirds * (2 * x2 * y1 - x1 * y2),
                             two_thirds * (x2 * y2 - 2 * x1 * y3)])
     return cubic, linear
 
 
-def _all_exact(vals) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in vals)
-
-
 def q_map(g: GL2) -> BinaryForm:
     """The cubic (1/3)(x u1 + y u2)^3 - (x u1 + y u2)(z u1 + w u2)^2."""
-    third = Fraction(1, 3) if _all_exact((g.x, g.y, g.z, g.w)) else 1.0 / 3.0
+    third = Fraction(1, 3) if is_exact((g.x, g.y, g.z, g.w)) else 1.0 / 3.0
     f1 = BinaryForm(1, [g.x, g.y])
     f2 = BinaryForm(1, [g.z, g.w])
     return third * (f1 * f1 * f1) - f1 * (f2 * f2)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import is_exact
 from .binaryform import BinaryForm
 from .exterior import CEOperator, DIM, require_lie_algebra
 from .variety import ModelPoint, bracket_constants, structure_constants, torsion_of
@@ -41,8 +42,7 @@ class TCoords:
     @staticmethod
     def from_lambda(lam: BinaryForm) -> "TCoords":
         l1, l2, l3, l4 = lam.coeffs
-        exact = all(isinstance(v, (int, Fraction)) for v in lam.coeffs)
-        quarter = F(1, 4) if exact else 0.25
+        quarter = F(1, 4) if is_exact(lam.coeffs) else 0.25
         return TCoords(
             quarter * (l1 - l3),
             quarter * (l4 - l2),

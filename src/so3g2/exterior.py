@@ -2,9 +2,9 @@
 
 Forms are stored as sparse dictionaries over strictly increasing index
 tuples drawn from {1..6}, with the sign of any index reordering absorbed
-into the coefficient.  Coefficients are either exact rationals
-(``fractions.Fraction``) or floats; the two kinds mix the way Python
-scalars do, so a computation stays exact until a float enters it.
+into the coefficient.  Coefficients are either exact (Python ints or
+``fractions.Fraction``) or floats; the kinds mix the way Python scalars
+do, so a computation stays exact until a float enters it.
 
 Chevalley-Eilenberg operators (a choice of d on degree one, extended as
 an anti-derivation) live here too, together with the d^2 = 0 test that
@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
+
+from ._exact import is_exact
 
 Scalar = Union[int, float, Fraction]
 
@@ -319,7 +321,6 @@ def require_lie_algebra(d: CEOperator) -> None:
     """Raise ValueError unless d satisfies the Jacobi identity: exactly when
     every coefficient is exact, beyond roundoff (1e-9) otherwise."""
     residual = d_squared_residual(d)
-    exact = all(isinstance(v, (int, Fraction))
-                for im in d.images for v in im.coeffs.values())
+    exact = is_exact(v for im in d.images for v in im.coeffs.values())
     if (exact and residual != 0) or float(residual) > 1e-9:
         raise ValueError("not a Lie algebra: d^2 != 0")

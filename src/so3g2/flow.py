@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate as _sciint
 
-from ._exact import mat_rank
+from ._exact import mat_rank, nullspace
 from .binaryform import BinaryForm, GL2, discriminant, q_invert, q_map
 from .exterior import CEOperator, apply_d, wedge
 from .stableform import (
@@ -597,43 +597,7 @@ def contraction_plane(a, b, c):
         [F(3) * c, F(4) * a, F(2) * b - c, F(0)],
         [F(0), F(1), F(0), F(-1)],
     ]
-    return _nullspace_basis(rows)
-
-
-def _nullspace_basis(rows):
-    n = 4
-    rows = [[F(v) for v in r] for r in rows]
-    # gaussian elimination with pivot tracking
-    a = [list(r) for r in rows]
-    m = len(a)
-    piv_cols = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
-        a[r] = [v / pv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
-        piv_cols.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        vec = [F(0)] * n
-        vec[fc] = F(1)
-        for i, pc in enumerate(piv_cols):
-            vec[pc] = -a[i][fc]
-        basis.append(vec)
-    return basis
+    return nullspace(rows)
 
 
 def plane_is_invariant(a, b, c) -> bool:

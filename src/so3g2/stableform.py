@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import is_exact
 from .binaryform import BinaryForm
 from .exterior import DIM, KForm, interior, pullback, wedge, wedge_all
 
@@ -191,5 +192,5 @@ def threeform_to_cubic(a: KForm, tol: float = 1e-9) -> BinaryForm:
     for idx, c in a.coeffs.items():
         if idx not in seen and abs(float(c)) > tol * max(1.0, a.max_abs()):
             raise ValueError("3-form has components outside the invariant basis")
-    third = F(1, 3) if isinstance(vals[0], (int, Fraction)) else 1.0 / 3.0
+    third = F(1, 3) if is_exact(vals) else 1.0 / 3.0
     return BinaryForm(3, [third * vals[0], vals[1], vals[2], third * vals[3]])

@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import _exact
+from ._exact import is_exact
 from .binaryform import BinaryForm, GL2, act, discriminant, resultant, split_b1_b2
 from .exterior import CEOperator, DIM, KForm, apply_d, interior, require_lie_algebra, wedge
 from .stableform import GAMMA_HAT, SIGMA, standard_forms
@@ -67,28 +68,24 @@ class LieAlgebraClass(Enum):
     Abelian = "abelian"
 
 
-def _coeff_kind_exact(vals) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in vals)
-
-
-def _thirds(exact: bool):
-    if exact:
-        return F(1, 3), F(1, 2)
-    return 1.0 / 3.0, 0.5
-
-
 def torsion_blocks(t: TorsionData):
-    """The six structure coefficients (a, b, c, q, p, r) of the torsion map."""
+    """The six structure coefficients (a, b, c, q, p, r) of the torsion map.
+
+    Integer-valued Fractions come back as ints, so that an integer model
+    point has int structure constants.
+    """
     l1, l2, l3, l4 = t.lam.coeffs
     m1, m2 = t.mu.coeffs
-    third, half = _thirds(_coeff_kind_exact(t.lam.coeffs + t.mu.coeffs))
+    exact = is_exact(t.lam.coeffs + t.mu.coeffs)
+    third, half = (F(1, 3), F(1, 2)) if exact else (1.0 / 3.0, 0.5)
     a = -third * l2 + m1
     b = -l4
     c = -third * l3 + half * m2
     q = l1
     p = third * l3 + m2
     r = third * l2 + half * m1
-    return a, b, c, q, p, r
+    return tuple(v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+                 for v in (a, b, c, q, p, r))
 
 
 def kappa(t: TorsionData) -> CEOperator:
@@ -163,7 +160,7 @@ def torsion_from_coframe(d: CEOperator, tol: float = 1e-10) -> BinaryForm:
     with the recovered coefficients.
     """
     forms = standard_forms()
-    exact = all(_coeff_kind_exact(im.coeffs.values()) for im in d.images)
+    exact = is_exact(v for im in d.images for v in im.coeffs.values())
     dsigma = apply_d(d, SIGMA)
     groups = [
         ((1, 3, 5), 3), ((2, 3, 5), 1), ((1, 4, 5), 1), ((1, 3, 6), 1),
@@ -226,7 +223,7 @@ def su3_components(lam: BinaryForm):
     W1minus = (l3 - l1)/2 and W3 the residual 3-form beta.
     """
     l1, l2, l3, l4 = lam.coeffs
-    exact = _coeff_kind_exact(lam.coeffs)
+    exact = is_exact(lam.coeffs)
     half = F(1, 2) if exact else 0.5
     quarter = F(1, 4) if exact else 0.25
     w1p = half * (l2 - l4)
@@ -247,7 +244,7 @@ def su3_components(lam: BinaryForm):
 def skew_torsion_3form(lam: BinaryForm) -> KForm:
     """Torsion 3-form of the adjusted connection with skew invariant torsion."""
     l1, l2, l3, l4 = lam.coeffs
-    exact = _coeff_kind_exact(lam.coeffs)
+    exact = is_exact(lam.coeffs)
     half = F(1, 2) if exact else 0.5
     return KForm(3, {
         (2, 3, 5): half * l1,
@@ -268,7 +265,7 @@ def tau_lambda(lam: BinaryForm) -> dict:
     alternation reproduces kappa(lam, 0) modulo the so(3) part.
     """
     l1, l2, l3, l4 = lam.coeffs
-    exact = _coeff_kind_exact(lam.coeffs)
+    exact = is_exact(lam.coeffs)
     half = F(1, 2) if exact else 0.5
     quarter = F(1, 4) if exact else 0.25
     a13 = quarter * (l1 + l3)
@@ -365,7 +362,7 @@ _SNAP_TOL = 1e-12
 
 
 def _snap(value, scale: float):
-    if isinstance(value, (int, Fraction)):
+    if is_exact((value,)):
         return value
     if abs(value) < _SNAP_TOL * max(1.0, scale):
         warnings.warn("snapping a near-zero classification invariant to 0")
@@ -412,32 +409,23 @@ def killing_form(d: CEOperator):
     """Killing matrix B(e_i, e_j) = tr(ad_i ad_j) as a 6x6 list of lists.
 
     Raises on operators that fail the Jacobi identity (exactly for exact
-    scalars, beyond roundoff for floats).
+    scalars, beyond roundoff for floats).  Entries are ints at integer
+    model points.
     """
     require_lie_algebra(d)
     c = bracket_constants(d)
+    # the nonzero entries (k, l, v) of ad(e_i), with (ad e_i)[k][l] = c[k][i][l]
+    ad = [[(k, l, c[k][i][l]) for k in range(DIM) for l in range(DIM) if c[k][i][l] != 0]
+          for i in range(DIM)]
     b = [[0] * DIM for _ in range(DIM)]
     for i in range(DIM):
-        for j in range(DIM):
-            total = 0
-            for k in range(DIM):
-                for l in range(DIM):
-                    total += c[k][i][l] * c[l][j][k]
-            b[i][j] = total
+        for j in range(i, DIM):
+            b[i][j] = b[j][i] = sum(v * c[l][j][k] for k, l, v in ad[i])
     return b
 
 
-KILLING_BASIS_ORDER = (0, 2, 4, 1, 3, 5)  # e1, e3, e5, e2, e4, e6
-
-
-def killing_reordered(d: CEOperator):
-    b = killing_form(d)
-    p = KILLING_BASIS_ORDER
-    return [[b[p[i]][p[j]] for j in range(DIM)] for i in range(DIM)]
-
-
 def killing_det(d: CEOperator):
-    return _exact.mat_det(killing_reordered(d))
+    return _exact.mat_det(killing_form(d))
 
 
 def killing_rank(d: CEOperator) -> int:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import mat_det, mat_rank, sym_signature
 from .binaryform import (
     BinaryForm,
     GL2,
@@ -72,9 +73,7 @@ from .variety import (
     act_on_point,
     classify,
     kappa,
-    killing_det,
-    killing_rank,
-    killing_signature,
+    killing_form,
     membership_rank,
     structure_constants,
     torsion_blocks,
@@ -164,15 +163,16 @@ def suite_killing(seed: int = 1, n_samples: int = 1000) -> SuiteResult:
         delta = discriminant(m.y)
         res = resultant(m.x, m.y)
         want = (4 * delta * res * res) ** 3
-        det = killing_det(d)
+        b = killing_form(d)
+        det = mat_det(b)
         if det != want:
             return SuiteResult("killing", False, float(abs(det - want)), 0.0,
                                f"det mismatch at {m}")
-        rank = killing_rank(d)
+        rank = mat_rank(b)
         if rank not in (0, 3, 6):
             return SuiteResult("killing", False, float(rank), 0.0, "rank not in {0,3,6}")
         if delta != 0 and res != 0:
-            pos, neg = killing_signature(d)
+            pos, neg = sym_signature(b)
             if delta > 0 and {pos, neg} != {0, 6}:
                 return SuiteResult("killing", False, 1.0, 0.0, "definite signature expected")
             if delta < 0 and (pos, neg) != (3, 3):
@@ -193,14 +193,14 @@ TABLE_REPRESENTATIVES = (
 )
 
 
-def suite_classification(seed: int = 2, n_pairs: int = 200) -> SuiteResult:
+def suite_classification(seed: int = 2, n_samples: int = 200) -> SuiteResult:
     rng = random.Random(seed)
     for (x, y), want in TABLE_REPRESENTATIVES:
         m = ModelPoint.make([F(v) for v in x], [F(v) for v in y])
         if classify(m) != want:
             return SuiteResult("classification", False, 1.0, 0.0,
                                f"representative {x}*{y} -> {classify(m)}")
-    for _ in range(n_pairs):
+    for _ in range(n_samples):
         m = _random_point_exact(rng)
         while True:
             g = GL2(*[F(rng.randint(-3, 3)) for _ in range(4)])
@@ -210,7 +210,7 @@ def suite_classification(seed: int = 2, n_pairs: int = 200) -> SuiteResult:
             return SuiteResult("classification", False, 1.0, 0.0,
                                f"orbit invariance fails at {m}")
     return SuiteResult("classification", True, 0.0, 0.0,
-                       f"5 representatives + {n_pairs} orbit pairs")
+                       f"5 representatives + {n_samples} orbit pairs")
 
 
 # ---------------------------------------------------------------------------

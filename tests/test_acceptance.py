@@ -26,7 +26,7 @@ def test_criterion_02_killing_identity():
 
 
 def test_criterion_03_classification():
-    _run(verify.suite_classification(n_pairs=200))
+    _run(verify.suite_classification(n_samples=200))
 
 
 def test_criterion_04_curvature_oracle():

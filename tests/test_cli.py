@@ -48,6 +48,17 @@ def test_classify_rational_inputs_stay_exact(capsys):
     assert data["delta"] == "4/9"
 
 
+def test_classify_decimal_inputs_give_float_det(capsys):
+    code, out = run_cli(capsys, "classify", "--x=0.3,0.7", "--y=1.1,0.2,-0.9")
+    assert code == 0
+    data = json.loads(out)
+    det = data["detKilling"]
+    assert isinstance(det, float)
+    want = (4 * data["delta"] * data["resultant"] ** 2) ** 3
+    assert abs(det - want) <= 1e-9 * abs(want)
+    assert abs(det - 21.2285) < 1e-4
+
+
 def test_curvature_report(capsys):
     code, out = run_cli(capsys, "curvature", "--x", "1,0", "--y", "1,0,-1")
     data = json.loads(out)
@@ -131,6 +142,13 @@ def test_verify_perturb_jacobi_fails(capsys):
                         "--n-samples", "20", "--perturb-jacobi")
     assert code == 1
     assert "[FAIL] jacobi" in out
+
+
+def test_verify_n_samples_reaches_every_sampled_suite(capsys):
+    assert main(["verify", "--suite", "classification", "--n-samples", "5"]) == 0
+    assert "5 orbit pairs" in capsys.readouterr().out
+    assert main(["verify", "--suite", "killing", "--n-samples", "20"]) == 0
+    assert "20 exact samples" in capsys.readouterr().out
 
 
 def test_verify_known_defect_not_counted(capsys):
