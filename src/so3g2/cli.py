@@ -1,9 +1,13 @@
 """Command line front end.
 
-Subcommands: classify, curvature, einstein-scan, flow, bs-metric,
-endpoints, contract, verify.  Rational inputs are accepted as "p/q"
-strings so the exact pipeline stays exact end to end.  Exit codes:
-0 success, 1 verification failure, 2 usage error.
+Subcommands: classify, curvature, flow, bs-metric, endpoints, contract,
+verify.  Each takes only the flags it honours: `--output` on the six
+commands that emit a result, `--format csv` on the tabular ones (flow,
+bs-metric), `--seed` and `--n-samples` on verify, where they replace
+the defaults of the sampled suites.  Rational inputs are accepted as
+"p/q" strings so the exact pipeline stays exact end to end; every
+number must be finite.  Exit codes: 0 success, 1 verification failure,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,32 +45,49 @@ from .variety import (
     structure_constants,
     torsion_of,
 )
-from .verify import ALL_SUITES, KNOWN_DEFECT_SUITES, run_all
+from .verify import ALL_SUITES, KNOWN_DEFECT_SUITES, SAMPLED_SUITES, run_all
 
 
 def parse_scalar(text: str):
-    """Parse a scalar, keeping exact rationals exact."""
+    """Parse a finite scalar, keeping exact rationals exact."""
     text = text.strip()
     try:
         if "/" in text or ("." not in text and "e" not in text.lower()):
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
-    return float(text)
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"not a finite number: {text!r}")
+    return val
 
 
 def parse_vector(text: str, n: int | None = None):
     vals = [parse_scalar(v) for v in text.split(",")]
     if n is not None and len(vals) != n:
-        raise argparse.ArgumentTypeError(f"expected {n} comma-separated values")
+        raise ValueError(f"expected {n} comma-separated values, got {len(vals)}: {text!r}")
     return vals
 
 
-def _emit(data, args):
-    """Write a JSON payload (or CSV rows when asked and tabular)."""
-    if args.output:
-        path = Path(args.output)
-        if args.format == "csv" and isinstance(data, dict) and "rows" in data:
+def positive_float(text: str) -> float:
+    val = float(text)
+    if not (math.isfinite(val) and val > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return val
+
+
+def positive_int(text: str) -> int:
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return val
+
+
+def _emit(data, output=None, fmt="json"):
+    """Write a JSON payload, or its rows as CSV when fmt is "csv"."""
+    if output:
+        path = Path(output)
+        if fmt == "csv":
             with path.open("w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(data["columns"])
@@ -74,7 +96,7 @@ def _emit(data, args):
             path.write_text(json.dumps(data, indent=2, default=_json_default) + "\n")
         print(f"wrote {path}")
     else:
-        if args.format == "csv" and isinstance(data, dict) and "rows" in data:
+        if fmt == "csv":
             writer = csv.writer(sys.stdout)
             writer.writerow(data["columns"])
             writer.writerows(data["rows"])
@@ -124,26 +146,20 @@ def cmd_classify(args) -> int:
         "half_flat": l2 == l4,
         "hermitian": l2 == l4 and l1 == l3,
     }
-    _emit(report, args)
+    _emit(report, args.output)
     return 0
 
 
 def cmd_curvature(args) -> int:
     m = _model_point(args)
     rep = levi_civita_oracle(structure_constants(m).to_float())
-    _emit(rep.to_json(), args)
+    _emit(rep.to_json(), args.output)
     return 0
 
 
-def cmd_einstein_scan(args) -> int:
-    from .verify import suite_einstein
-
-    res = suite_einstein(seed=args.seed, n_grid=args.n_grid, tol=args.tol or 1e-10)
-    print(res.line())
-    return 0 if res.passed else 1
-
-
 def cmd_flow(args) -> int:
+    if args.g2_samples and args.format == "csv":
+        raise SystemExit2("--g2-samples has no CSV form; use --format json")
     p = BinaryForm(3, parse_vector(args.p, 4))
     q0 = BinaryForm(3, parse_vector(args.q0, 4))
     disc0 = float(discriminant(q0))
@@ -156,10 +172,10 @@ def cmd_flow(args) -> int:
             raise SystemExit2(f"initial data is not admissible: {exc}")
     direction = args.direction
     if direction == 0:
-        probe = 1e-6 * max(1.0, abs(args.s_max))
+        probe = 1e-6 * max(1.0, args.s_max)
         from .flow import _poly_eval
         direction = 1 if float(_poly_eval(poly, probe)) > 0 else -1
-    s_hi = abs(args.s_max)
+    s_hi = args.s_max
     roots = [r for r in _poly_real_roots(poly) if 1e-12 < r * direction <= s_hi]
     if roots:
         s_hi = min(abs(r) for r in roots)
@@ -201,7 +217,7 @@ def cmd_flow(args) -> int:
         else:
             samples = assemble_g2(traj)
             data["g2_samples"] = [s.to_json() for s in samples]
-    _emit(data, args)
+    _emit(data, args.output, args.format)
     return 0
 
 
@@ -254,7 +270,7 @@ def cmd_bs_metric(args) -> int:
         m = bs_metric(args.lam, float(z))
         rows.append([float(z), m[0, 0], m[3, 3]])
     _emit({"columns": ["z", "base_coefficient", "fibre_coefficient"], "rows": rows},
-          args)
+          args.output, args.format)
     return 0
 
 
@@ -264,24 +280,18 @@ def cmd_endpoints(args) -> int:
     try:
         info = endpoint_classify(p, q)
     except InvalidEndpoint as exc:
-        _emit({"valid": False, "reason": str(exc)}, args)
+        _emit({"valid": False, "reason": str(exc)}, args.output)
         return 1
     _emit({
         "valid": True,
         "kind": info.kind.name,
         "root": list(info.root.coeffs) if info.root else None,
         "lambda": info.lambda_coefficient,
-    }, args)
+    }, args.output)
     return 0
 
 
 def cmd_contract(args) -> int:
-    if args.scan:
-        from .verify import suite_contractions
-
-        res = suite_contractions(seed=args.seed)
-        print(res.line())
-        return 0 if res.passed else 1
     gen = (parse_scalar(args.a), parse_scalar(args.b), parse_scalar(args.c))
     lam = BinaryForm(3, parse_vector(args.lam, 4)) if args.lam else None
     data = {
@@ -295,21 +305,25 @@ def cmd_contract(args) -> int:
             {"generator": list(g), "basis": [[str(v) for v in vec] for vec in basis]}
             for g, basis in halfflat_contraction_planes()
         ]
-    _emit(data, args)
+    _emit(data, args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
+    sampling_set = args.seed is not None or args.n_samples is not None
+    if args.suite and args.suite not in SAMPLED_SUITES and sampling_set:
+        raise SystemExit2(f"suite {args.suite} draws no samples; "
+                          "--seed and --n-samples do not apply")
+    if args.perturb_jacobi and args.suite not in (None, "jacobi"):
+        raise SystemExit2("--perturb-jacobi applies only to the jacobi suite")
     names = [args.suite] if args.suite else None
-    if names and names[0] not in ALL_SUITES:
-        raise SystemExit2(f"unknown suite {names[0]}; choose from {sorted(ALL_SUITES)}")
     results = run_all(names=names, seed=args.seed, n_samples=args.n_samples,
                       perturb_jacobi=args.perturb_jacobi)
     failures = 0
     for res in results:
         note = ""
         if res.name in KNOWN_DEFECT_SUITES and not res.passed:
-            note = "  (known defect, see ledger; not counted)"
+            note = "  (known defect, see LEDGER.md; not counted)"
         print(res.line() + note)
         if not res.passed and res.name not in KNOWN_DEFECT_SUITES:
             failures += 1
@@ -317,63 +331,57 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", help="write the result to this path")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--seed", type=int, default=0)
     ap = argparse.ArgumentParser(prog="so3g2", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def sub_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def sub_parser(name, func, fmt=False, **kw):
+        c = sub.add_parser(name, **kw)
+        c.add_argument("--output", help="write the result to this path")
+        if fmt:
+            c.add_argument("--format", choices=("json", "csv"), default="json")
+        c.set_defaults(func=func)
+        return c
 
-    c = sub_parser("classify", help="classify a model point")
+    c = sub_parser("classify", cmd_classify, help="classify a model point")
     c.add_argument("--x", required=True, help="x1,x2")
     c.add_argument("--y", required=True, help="y1,y2,y3")
-    c.set_defaults(func=cmd_classify)
 
-    c = sub_parser("curvature", help="curvature report of a model point")
+    c = sub_parser("curvature", cmd_curvature, help="curvature report of a model point")
     c.add_argument("--x", required=True)
     c.add_argument("--y", required=True)
-    c.set_defaults(func=cmd_curvature)
 
-    c = sub_parser("einstein-scan", help="scan the variety for Einstein points")
-    c.add_argument("--n-grid", type=int, default=10000)
-    c.set_defaults(func=cmd_einstein_scan)
-
-    c = sub_parser("flow", help="integrate the closed-form evolution line")
+    c = sub_parser("flow", cmd_flow, fmt=True,
+                   help="integrate the closed-form evolution line")
     c.add_argument("--p", required=True, help="torsion direction p1,p2,p3,p4")
     c.add_argument("--q0", required=True, help="initial cubic q1,q2,q3,q4")
-    c.add_argument("--s-max", type=float, default=4.0)
-    c.add_argument("--steps", type=int, default=80)
+    c.add_argument("--s-max", type=positive_float, default=4.0)
+    c.add_argument("--steps", type=positive_int, default=80)
     c.add_argument("--direction", type=int, choices=(-1, 0, 1), default=0,
                    help="line direction; 0 picks the positive-discriminant side")
     c.add_argument("--g2-samples", action="store_true")
-    c.set_defaults(func=cmd_flow)
 
-    c = sub_parser("bs-metric", help="complete-metric coefficients at z values")
-    c.add_argument("--lam", type=float, default=1.0)
+    c = sub_parser("bs-metric", cmd_bs_metric, fmt=True,
+                   help="complete-metric coefficients at z values")
+    c.add_argument("--lam", type=positive_float, default=1.0)
     c.add_argument("--z", required=True, help="comma separated z values")
-    c.set_defaults(func=cmd_bs_metric)
 
-    c = sub_parser("endpoints", help="classify a boundary cubic")
+    c = sub_parser("endpoints", cmd_endpoints, help="classify a boundary cubic")
     c.add_argument("--p", required=True)
     c.add_argument("--q", required=True)
-    c.set_defaults(func=cmd_endpoints)
 
-    c = sub_parser("contract", help="contraction generators and planes")
+    c = sub_parser("contract", cmd_contract, help="contraction generators and planes")
     c.add_argument("--a", default="1")
     c.add_argument("--b", default="0")
     c.add_argument("--c", default="0")
     c.add_argument("--lam", help="evaluate the generator field at this cubic")
     c.add_argument("--planes", action="store_true")
-    c.add_argument("--scan", action="store_true", help="run the tangency scan")
-    c.set_defaults(func=cmd_contract)
 
-    c = sub_parser("verify", help="run the verification suites")
-    c.add_argument("--suite", help="run a single suite by name")
-    c.add_argument("--n-samples", type=int, default=None)
+    c = sub.add_parser("verify", help="run the verification suites")
+    c.add_argument("--suite", choices=list(ALL_SUITES), help="run a single suite by name")
+    c.add_argument("--seed", type=int, default=None,
+                   help="seed of the sampled suites (default: each suite's own)")
+    c.add_argument("--n-samples", type=positive_int, default=None,
+                   help="sample count of the sampled suites (default: each suite's own)")
     c.add_argument("--perturb-jacobi", action="store_true",
                    help="negative control: perturb structure constants")
     c.set_defaults(func=cmd_verify)
@@ -386,7 +394,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit2:
         raise
-    except (ValueError, InvalidEndpoint) as exc:
+    except (ValueError, InvalidEndpoint, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -130,6 +130,10 @@ def _polish_root(coeffs, r0: float) -> float:
     The multiplicity estimate improves as the point does, so detection
     and polishing are iterated: a fourfold root seen from a crude seed
     first looks triple, converges part way, and is then recognized.
+    The loose estimate can also call a simple root multiple; Newton on
+    the derivative then walks to a critical point, where |p| grows.  A
+    multiple polish is kept only when |p| did not grow; otherwise r0 is
+    polished as a simple root.
     """
     r = r0
     k_prev = 0
@@ -138,20 +142,28 @@ def _polish_root(coeffs, r0: float) -> float:
         if k == k_prev:
             break
         k_prev = k
-        work = [float(c) for c in coeffs]
-        for _ in range(k - 1):
-            deg = len(work) - 1
-            work = [work[i] * (deg - i) for i in range(deg)]
-        der = [work[i] * (len(work) - 1 - i) for i in range(len(work) - 1)]
-        for _ in range(60):
-            f = _poly_eval(work, r)
-            fp = _poly_eval(der, r)
-            if fp == 0:
-                break
-            step = f / fp
-            r -= step
-            if abs(step) < 1e-16 * max(1.0, abs(r)):
-                break
+        r = _newton_on_derivative(coeffs, k - 1, r)
+    if k_prev > 1 and abs(_poly_eval(coeffs, r)) > abs(_poly_eval(coeffs, r0)):
+        r = _newton_on_derivative(coeffs, 0, r0)
+    return r
+
+
+def _newton_on_derivative(coeffs, order: int, r: float) -> float:
+    """Newton iteration from r on the order-th derivative of the polynomial."""
+    work = [float(c) for c in coeffs]
+    for _ in range(order):
+        deg = len(work) - 1
+        work = [work[i] * (deg - i) for i in range(deg)]
+    der = [work[i] * (len(work) - 1 - i) for i in range(len(work) - 1)]
+    for _ in range(60):
+        f = _poly_eval(work, r)
+        fp = _poly_eval(der, r)
+        if fp == 0:
+            break
+        step = f / fp
+        r -= step
+        if abs(step) < 1e-16 * max(1.0, abs(r)):
+            break
     return r
 
 

@@ -53,6 +53,7 @@ from .flow import (
     plane_is_invariant,
     planes_equal,
     time_integral,
+    _poly_eval,
 )
 from .g2 import (
     assemble_g2,
@@ -81,6 +82,15 @@ from .variety import (
 )
 
 F = Fraction
+
+# the tolerance each suite reports and is held to
+CURVATURE_TOL = 1e-10
+EINSTEIN_TOL = 1e-10
+FLOW_CLOCK_TOL = 1e-10
+CLOSED_FORM_TOL = 1e-8
+G2_TOL = 1e-6
+TRIALITY_TOL = 1e-10
+HAMILTONIAN_TOL = 1e-8
 
 
 @dataclass
@@ -217,7 +227,7 @@ def suite_classification(seed: int = 2, n_samples: int = 200) -> SuiteResult:
 # 4. Curvature oracle equivalence
 # ---------------------------------------------------------------------------
 
-def suite_curvature(seed: int = 3, n_samples: int = 200, tol: float = 1e-10) -> SuiteResult:
+def suite_curvature(seed: int = 3, n_samples: int = 200) -> SuiteResult:
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(n_samples):
@@ -233,7 +243,7 @@ def suite_curvature(seed: int = 3, n_samples: int = 200, tol: float = 1e-10) -> 
     m = ModelPoint.make([1.0, 0.0], [1.0, 0.0, -1.0])
     rep = levi_civita_oracle(structure_constants(m))
     worst = max(worst, rep.ricci_traceless_norm, abs(rep.scalar - 6.0))
-    return SuiteResult("curvature-oracle", worst <= tol, worst, tol,
+    return SuiteResult("curvature-oracle", worst <= CURVATURE_TOL, worst, CURVATURE_TOL,
                        f"{n_samples} random points; bi-invariant s = 6")
 
 
@@ -258,9 +268,10 @@ def _so2(theta: float) -> GL2:
     return GL2(c, -s, s, c)
 
 
-def suite_einstein(seed: int = 4, n_grid: int = 10000, tol: float = 1e-10) -> SuiteResult:
+def suite_einstein(seed: int = 4, n_samples: int = 10000) -> SuiteResult:
     """The Einstein locus is exactly the three rotation orbits of the
-    representatives; scanned on a grid over the variety plus orbit samples.
+    representatives; scanned on a grid of about n_samples points over the
+    variety plus orbit samples.
 
     The grid uses the closed-form traceless Ricci residual (suite 4 pins
     it against the Koszul oracle); hits are confirmed with the oracle.
@@ -293,7 +304,7 @@ def suite_einstein(seed: int = 4, n_grid: int = 10000, tol: float = 1e-10) -> Su
         return any(max(abs(a - b) for a, b in zip(inv, ri)) < 1e-6 for ri in rep_inv)
 
     # grid over the (projective) variety: product of angles
-    n_side = max(2, int(round(n_grid ** (1.0 / 3.0))))
+    n_side = max(2, int(round(n_samples ** (1.0 / 3.0))))
     false_positive = 0
     checked = 0
     for i in range(n_side):
@@ -306,7 +317,7 @@ def suite_einstein(seed: int = 4, n_grid: int = 10000, tol: float = 1e-10) -> Su
                 y = [math.cos(b), math.sin(b) * math.cos(c), math.sin(b) * math.sin(c)]
                 m = ModelPoint.make(x, y)
                 checked += 1
-                if _einstein_residual_fast(m) <= tol and not on_known_orbit(m):
+                if _einstein_residual_fast(m) <= EINSTEIN_TOL and not on_known_orbit(m):
                     false_positive += 1
     # orbit samples must pass (with the full oracle) and have positive s
     worst = 0.0
@@ -318,7 +329,7 @@ def suite_einstein(seed: int = 4, n_grid: int = 10000, tol: float = 1e-10) -> Su
             rep = levi_civita_oracle(structure_constants(m))
             worst = max(worst, rep.ricci_traceless_norm)
             if rep.scalar <= 0:
-                return SuiteResult("einstein-locus", False, rep.scalar, tol,
+                return SuiteResult("einstein-locus", False, rep.scalar, EINSTEIN_TOL,
                                    "nonpositive scalar curvature on the locus")
     # the symmetric representative in block coordinates
     m3 = ModelPoint.make([F(1), F(0)], [F(1), F(0), F(-3)])
@@ -328,7 +339,7 @@ def suite_einstein(seed: int = 4, n_grid: int = 10000, tol: float = 1e-10) -> Su
     passed = false_positive == 0 and worst <= 1e-9 and coords_ok
     detail = (f"{checked} grid points, {false_positive} false positives; "
               f"orbit residual {worst:.1e}; symmetric point blocks [0:3:0:1:3:0] {coords_ok}")
-    return SuiteResult("einstein-locus", passed, worst, tol, detail)
+    return SuiteResult("einstein-locus", passed, worst, EINSTEIN_TOL, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +366,10 @@ def suite_conformal(seed: int = 5, n_samples: int = 150) -> SuiteResult:
 # 7. Flow clock and oracle
 # ---------------------------------------------------------------------------
 
-def suite_flow_clock(seed: int = 6, n_traj: int = 20, tol: float = 1e-10) -> SuiteResult:
+def suite_flow_clock(seed: int = 6, n_samples: int = 20) -> SuiteResult:
     rng = random.Random(seed)
     worst_clock = 0.0
-    for _ in range(n_traj):
+    for _ in range(n_samples):
         lam = [rng.uniform(-1.0, 1.0) for _ in range(3)]
         p = BinaryForm(3, [lam[0], lam[1], lam[2], lam[1]])
         poly = [float(v) for v in line_discriminant_poly(Q0.to_float(), p)]
@@ -366,11 +377,7 @@ def suite_flow_clock(seed: int = 6, n_traj: int = 20, tol: float = 1e-10) -> Sui
         step = 0.02
         while s_hi < 1.0:
             nxt = s_hi + step
-            val = poly[0]
-            total = 0.0
-            for cf in poly:
-                total = total * nxt + cf
-            if total <= 1e-6:
+            if _poly_eval(poly, nxt) <= 1e-6:
                 break
             s_hi = nxt
         if s_hi < 3 * step:
@@ -382,15 +389,11 @@ def suite_flow_clock(seed: int = 6, n_traj: int = 20, tol: float = 1e-10) -> Sui
                               abs(st.detg ** 6 - 0.75 * float(discriminant(st.q))))
     # monotonicity away from the Hermitian locus + stationarity at it
     p_h = BinaryForm(3, [1.0, 0.0, 1.0, 0.0])  # Hermitian at the identity frame
-    poly = line_discriminant_poly(Q0.to_float(), p_h)
+    c = [float(v) for v in line_discriminant_poly(Q0.to_float(), p_h)]
+    dc = [c[i] * (4 - i) for i in range(4)]
 
     def dpoly(s):
-        c = [float(v) for v in poly]
-        dc = [c[i] * (4 - i) for i in range(4)]
-        tot = 0.0
-        for cf in dc:
-            tot = tot * s + cf
-        return tot
+        return _poly_eval(dc, s)
 
     herm_stationary = abs(dpoly(0.0))
     mono_ok = all(dpoly(s) < 0 for s in np.linspace(0.05, 0.5, 12))
@@ -418,10 +421,12 @@ def suite_flow_clock(seed: int = 6, n_traj: int = 20, tol: float = 1e-10) -> Sui
             worst_oracle = max(worst_oracle, max(
                 abs(float(aa) - float(bb))
                 for aa, bb in zip(q_closed.coeffs, orc.qs[i].coeffs)))
-    passed = worst_clock <= tol and worst_oracle <= 1e-8 and mono_ok and herm_stationary < 1e-12
+    passed = (worst_clock <= FLOW_CLOCK_TOL and worst_oracle <= 1e-8 and mono_ok
+              and herm_stationary < 1e-12)
     detail = (f"clock {worst_clock:.1e}; oracle-vs-line {worst_oracle:.1e} "
               f"(5 model classes); Hermitian stationarity {herm_stationary:.1e}")
-    return SuiteResult("flow-clock", passed, max(worst_clock, worst_oracle), tol, detail)
+    return SuiteResult("flow-clock", passed, max(worst_clock, worst_oracle), FLOW_CLOCK_TOL,
+                       detail)
 
 
 # ---------------------------------------------------------------------------
@@ -441,49 +446,51 @@ RULED_OUT_ENDPOINTS = (
 )
 
 
-def suite_endpoints(tol: float = 1e-8) -> SuiteResult:
+def _double_root_residual(exponent: float) -> float:
+    """Worst |s - s(t)| on the double-root collapse line for the closed
+    form s(t) = -t^2 (3 lam)^exponent / 4, with t from the quadrature clock."""
+    lam = 1.0
+    p2 = BinaryForm(3, [0.0, 0.0, 1.0, 0.0])
+    q2 = BinaryForm(3, [lam, 0.0, 0.0, 0.0])
+    worst = 0.0
+    for s in (-0.2, -0.7, -1.5):
+        t = time_integral(q2, p2, 0.0, s)
+        s_closed = -0.25 * t * t * (3 * lam) ** exponent
+        worst = max(worst, abs(s - s_closed))
+    return worst
+
+
+def suite_endpoints() -> SuiteResult:
     for p, q in ADMISSIBLE_ENDPOINTS:
         try:
             endpoint_classify(BinaryForm(3, list(p)), BinaryForm(3, list(q)))
         except InvalidEndpoint as exc:
-            return SuiteResult("endpoints", False, 1.0, tol, f"admissible rejected: {exc}")
+            return SuiteResult("endpoints", False, 1.0, CLOSED_FORM_TOL,
+                               f"admissible rejected: {exc}")
     for p, q in RULED_OUT_ENDPOINTS:
         try:
             endpoint_classify(BinaryForm(3, list(p)), BinaryForm(3, list(q)))
-            return SuiteResult("endpoints", False, 1.0, tol, f"ruled-out accepted: {p} {q}")
+            return SuiteResult("endpoints", False, 1.0, CLOSED_FORM_TOL,
+                               f"ruled-out accepted: {p} {q}")
         except InvalidEndpoint:
             pass
     # double-root collapse: closed-form s(t) against integration.
-    # The verified closed form is s = -t^2 (3 lam)^(1/3) / 4 (see ledger);
+    # The verified closed form is s = -t^2 (3 lam)^(1/3) / 4 (see LEDGER.md);
     # the stated exponent 2/3 is checked by suite_case2_stated below.
-    lam = 1.0
-    p2 = BinaryForm(3, [0.0, 0.0, 1.0, 0.0])
-    q2 = BinaryForm(3, [lam, 0.0, 0.0, 0.0])
-    worst = 0.0
-    for s in (-0.2, -0.7, -1.5):
-        t = time_integral(q2, p2, 0.0, s)
-        s_closed = -0.25 * t * t * (3 * lam) ** (1.0 / 3.0)
-        worst = max(worst, abs(s - s_closed))
-    return SuiteResult("endpoints", worst <= tol, worst, tol,
+    worst = _double_root_residual(1.0 / 3.0)
+    return SuiteResult("endpoints", worst <= CLOSED_FORM_TOL, worst, CLOSED_FORM_TOL,
                        "3 admissible + 3 ruled out; verified closed form")
 
 
-def suite_case2_stated(tol: float = 1e-8) -> SuiteResult:
+def suite_case2_stated() -> SuiteResult:
     """The double-root closed form with the stated exponent 2/3.
 
-    Known defect: the clock identity forces exponent 1/3 (see the
-    decisions ledger); this check is expected to fail and is reported
+    Known defect: the clock identity forces exponent 1/3 (see
+    LEDGER.md); this check is expected to fail and is reported
     separately so the defect stays visible.
     """
-    lam = 1.0
-    p2 = BinaryForm(3, [0.0, 0.0, 1.0, 0.0])
-    q2 = BinaryForm(3, [lam, 0.0, 0.0, 0.0])
-    worst = 0.0
-    for s in (-0.2, -0.7, -1.5):
-        t = time_integral(q2, p2, 0.0, s)
-        s_stated = -0.25 * t * t * (3 * lam) ** (2.0 / 3.0)
-        worst = max(worst, abs(s - s_stated))
-    return SuiteResult("case2-stated", worst <= tol, worst, tol,
+    worst = _double_root_residual(2.0 / 3.0)
+    return SuiteResult("case2-stated", worst <= CLOSED_FORM_TOL, worst, CLOSED_FORM_TOL,
                        "expected to fail: stated exponent 2/3 vs clock-consistent 1/3")
 
 
@@ -510,7 +517,7 @@ def suite_noncomplete(seed: int = 7, n_samples: int = 100) -> SuiteResult:
 # 10. G2 closedness and smoothness
 # ---------------------------------------------------------------------------
 
-def suite_g2_closedness(tol: float = 1e-6) -> SuiteResult:
+def suite_g2_closedness() -> SuiteResult:
     m = ModelPoint.make([1.0, 0.0], [-1.0, 0.0, 1.0])
     d = structure_constants(m)
     p = flow_torsion_cubic(d)
@@ -534,18 +541,18 @@ def suite_g2_closedness(tol: float = 1e-6) -> SuiteResult:
                 if smoothness_check(case2_family(lam))] == [1.0 / 3.0])
     ricci_worst = max(float(np.max(np.abs(ricci7(case3_family(1.0), d, z))))
                       for z in (0.4, 0.9, 1.6))
-    passed = (max(dphi, dstar) < tol and dphi_p > 1e-3 and smooth3 and smooth2
+    passed = (max(dphi, dstar) < G2_TOL and dphi_p > 1e-3 and smooth3 and smooth2
               and ricci_worst < 1e-5)
     detail = (f"dphi {dphi:.1e}, dstar {dstar:.1e}, perturbed {dphi_p:.1e}, "
               f"Ricci7 {ricci_worst:.1e}, smooth cases {smooth3}/{smooth2}")
-    return SuiteResult("g2-closedness", passed, max(dphi, dstar), tol, detail)
+    return SuiteResult("g2-closedness", passed, max(dphi, dstar), G2_TOL, detail)
 
 
 # ---------------------------------------------------------------------------
 # 11. Triality
 # ---------------------------------------------------------------------------
 
-def suite_triality(tol: float = 1e-10) -> SuiteResult:
+def suite_triality() -> SuiteResult:
     ell3 = triality_matrix(3)
     exact = max(abs(ell3.x - 1), abs(ell3.y), abs(ell3.z), abs(ell3.w - 1)) == 0.0
     m = ModelPoint.make([1.0, 0.0], [1.0, 0.0, -1.0])
@@ -589,8 +596,8 @@ def suite_triality(tol: float = 1e-10) -> SuiteResult:
         worst = max(worst, abs(ev[1] - base), abs(ev[0] - fib))
     cycled = len(set(roots_seen)) == 2 and all(
         r not in ((1.0, 0.0),) for r in roots_seen)
-    passed = exact and torsions_equal and worst <= tol and cycled
-    return SuiteResult("triality", passed, worst, tol,
+    passed = exact and torsions_equal and worst <= TRIALITY_TOL and cycled
+    return SuiteResult("triality", passed, worst, TRIALITY_TOL,
                        "orbit of 3 products; frame-identified metric families equal; "
                        f"boundary roots cycle {roots_seen}")
 
@@ -599,7 +606,7 @@ def suite_triality(tol: float = 1e-10) -> SuiteResult:
 # 12. Contractions
 # ---------------------------------------------------------------------------
 
-def suite_contractions(seed: int = 8) -> SuiteResult:
+def suite_contractions() -> SuiteResult:
     canonical = [contraction_plane(*gen) for gen in CANONICAL_GENERATORS]
     # rational grid; the irrational qualifying families (b = c = +-sqrt3 a
     # and a = +-sqrt3 b / 2, permutation images of the rational ones) are
@@ -680,11 +687,11 @@ def suite_contractions(seed: int = 8) -> SuiteResult:
 # 13. Hamiltonian
 # ---------------------------------------------------------------------------
 
-def suite_hamiltonian(seed: int = 9, tol: float = 1e-8) -> SuiteResult:
+def suite_hamiltonian(seed: int = 9, n_samples: int = 6) -> SuiteResult:
     rng = random.Random(seed)
     worst_h = 0.0
     worst_rate = 0.0
-    for _ in range(6):
+    for _ in range(n_samples):
         lam = [rng.uniform(-0.8, 0.8) for _ in range(3)]
         p = BinaryForm(3, [lam[0], lam[1], lam[2], lam[1]])
         if p.norm() < 0.05:
@@ -705,8 +712,8 @@ def suite_hamiltonian(seed: int = 9, tol: float = 1e-8) -> SuiteResult:
                 worst_rate = max(worst_rate,
                                  abs(ds - st.detg),
                                  abs(ds - math.sqrt(1.0 + a2)))
-    passed = worst_h <= tol and worst_rate <= tol
-    return SuiteResult("hamiltonian", passed, max(worst_h, worst_rate), tol,
+    passed = worst_h <= HAMILTONIAN_TOL and worst_rate <= HAMILTONIAN_TOL
+    return SuiteResult("hamiltonian", passed, max(worst_h, worst_rate), HAMILTONIAN_TOL,
                        f"H drift {worst_h:.1e}; rate identity {worst_rate:.1e}")
 
 
@@ -729,23 +736,31 @@ ALL_SUITES = {
 
 KNOWN_DEFECT_SUITES = {"case2-stated"}
 
+# the suites that draw random samples; each takes `seed` and `n_samples`
+SAMPLED_SUITES = frozenset({
+    "jacobi", "killing", "classification", "curvature", "einstein", "conformal",
+    "flow-clock", "non-completeness", "hamiltonian",
+})
 
-def run_all(names=None, seed: int = 0, n_samples: int | None = None,
+
+def run_all(names=None, seed: int | None = None, n_samples: int | None = None,
             perturb_jacobi: bool = False):
-    """Run the requested suites (all by default) and return the results."""
+    """Run the requested suites (all by default) and return the results.
+
+    `seed` and `n_samples` replace the defaults of the sampled suites when
+    given; the other suites take no parameters.
+    """
+    overrides = {}
+    if seed is not None:
+        overrides["seed"] = seed
+    if n_samples is not None:
+        overrides["n_samples"] = n_samples
     results = []
     for name, fn in ALL_SUITES.items():
         if names and name not in names:
             continue
-        kwargs = {}
-        if name == "jacobi":
-            kwargs["perturb"] = perturb_jacobi
-            if n_samples:
-                kwargs["n_samples"] = n_samples
-        elif name in ("killing", "classification", "curvature", "conformal",
-                      "non-completeness") and n_samples:
-            kwargs["n_samples"] = n_samples
-        if "seed" in fn.__code__.co_varnames[:fn.__code__.co_argcount]:
-            kwargs["seed"] = seed + list(ALL_SUITES).index(name)
+        kwargs = dict(overrides) if name in SAMPLED_SUITES else {}
+        if name == "jacobi" and perturb_jacobi:
+            kwargs["perturb"] = True
         results.append(fn(**kwargs))
     return results

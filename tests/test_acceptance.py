@@ -34,7 +34,7 @@ def test_criterion_04_curvature_oracle():
 
 
 def test_criterion_05_einstein_locus():
-    _run(verify.suite_einstein(n_grid=10000))
+    _run(verify.suite_einstein(n_samples=10000))
 
 
 def test_criterion_06_conformal_flatness():
@@ -42,7 +42,7 @@ def test_criterion_06_conformal_flatness():
 
 
 def test_criterion_07_flow_clock():
-    _run(verify.suite_flow_clock(n_traj=20))
+    _run(verify.suite_flow_clock(n_samples=20))
 
 
 def test_criterion_08_endpoint_lemma():

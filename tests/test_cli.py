@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import inspect
 import io
 import json
+import re
 
 import pytest
 
 from so3g2.cli import main, parse_scalar
+from so3g2.verify import ALL_SUITES, SAMPLED_SUITES
 from fractions import Fraction
 
 
@@ -171,3 +175,114 @@ def test_verify_deterministic_given_seed(capsys):
     _, out1 = run_cli(capsys, "verify", "--suite", "non-completeness", "--seed", "7")
     _, out2 = run_cli(capsys, "verify", "--suite", "non-completeness", "--seed", "7")
     assert out1 == out2
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_parse_scalar_rejects_non_finite():
+    for text in ("nan", "inf", "-inf", "1e999"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["einstein-scan"],                                    # removed: verify --suite einstein
+    ["contract", "--scan"],                               # removed: verify --suite contractions
+    ["classify", "--x", "1,0", "--y", "1,0,-1", "--tol", "1e-3"],
+    ["classify", "--x", "1,0", "--y", "1,0,-1", "--seed", "3"],
+    ["classify", "--x", "1,0", "--y", "1,0,-1", "--format", "csv"],
+    ["verify", "--suite", "endpoints", "--output", "x.json"],
+    ["verify", "--suite", "nonsense"],
+    ["verify", "--suite", "endpoints", "--seed", "1"],
+    ["verify", "--suite", "g2", "--n-samples", "5"],
+    ["verify", "--suite", "killing", "--perturb-jacobi"],
+    ["verify", "--suite", "killing", "--n-samples", "0"],
+    ["classify", "--x", "1,0,0", "--y", "1,0,-1"],
+    ["contract", "--a", "inf"],
+    ["flow", "--p", "1,0,-1,0", "--q0", "1,0,0,0", "--s-max", "nan"],
+    ["flow", "--p", "1,0,-1,0", "--q0", "1,0,0,0", "--s-max", "-1"],
+    ["flow", "--p", "1,0,-1,0", "--q0", "1,0,0,0", "--steps", "0"],
+    ["flow", "--p", "1,0,-1,0", "--q0", "1,0,0,0", "--g2-samples", "--format", "csv"],
+    ["bs-metric", "--lam", "0", "--z", "0,1"],
+    ["bs-metric", "--z", "0,nan"],
+    ["endpoints", "--p", "nan,0,1,0", "--q", "2,0,0,0"],
+    ["classify", "--x", "1,0", "--y", "1,0,-1", "--output", "no-such-dir/report.json"],
+])
+def test_usage_errors_exit_2(argv, capsys):
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err and "error:" in err[-1], err
+
+
+def test_suites_take_seed_and_n_samples_iff_sampled():
+    assert SAMPLED_SUITES <= set(ALL_SUITES)
+    for name, fn in ALL_SUITES.items():
+        params = set(inspect.signature(fn).parameters) - {"perturb"}
+        assert params == ({"seed", "n_samples"} if name in SAMPLED_SUITES else set()), name
+
+
+def test_bare_verify_runs_the_suite_default_seeds(capsys):
+    for suite, seed in (("non-completeness", "7"), ("hamiltonian", "9")):
+        _, bare = run_cli(capsys, "verify", "--suite", suite)
+        _, seeded = run_cli(capsys, "verify", "--suite", suite, "--seed", seed)
+        assert bare == seeded
+
+
+def test_verify_n_samples_reaches_einstein(capsys):
+    assert main(["verify", "--suite", "einstein", "--n-samples", "27"]) == 0
+    assert "27 grid points" in capsys.readouterr().out
+
+
+ATOMS = "0 1 -1 1/2 -1/3 0.5 1e-9 1e9 nan inf -inf abc 1/0".split()
+# per command: required and optional flags -> number of comma-separated
+# values (0 for a flag that takes none)
+CLI_FLAGS = {
+    "classify": ({"--x": 2, "--y": 3}, {}),
+    "curvature": ({"--x": 2, "--y": 3}, {}),
+    "flow": ({"--p": 4, "--q0": 4},
+             {"--s-max": 1, "--steps": 1, "--g2-samples": 0, "--format=csv": 0}),
+    "bs-metric": ({"--z": 3}, {"--lam": 1, "--format=csv": 0}),
+    "endpoints": ({"--p": 4, "--q": 4}, {}),
+    "contract": ({}, {"--a": 1, "--b": 1, "--c": 1, "--lam": 4, "--planes": 0}),
+}
+
+
+def test_cli_fuzz_exit_codes_and_finite_output():
+    """Every argv drawn from small atoms, with right and wrong value
+    counts, ends with exit 0, 1 or 2 and no traceback; a successful run
+    prints no NaN or infinity."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def argvs(draw):
+        cmd = draw(st.sampled_from(sorted(CLI_FLAGS)))
+        required, optional = CLI_FLAGS[cmd]
+        flags = list(required.items())
+        flags += [(f, n) for f, n in optional.items() if draw(st.booleans())]
+        argv = [cmd]
+        for flag, n in flags:
+            if n == 0:
+                argv.append(flag)
+                continue
+            count = n if draw(st.booleans()) else draw(st.integers(1, 5))
+            values = draw(st.lists(st.sampled_from(ATOMS), min_size=count, max_size=count))
+            argv.append(f"{flag}={','.join(values)}")
+        return argv
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @hypothesis.given(argvs())
+    def check(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = exit_code(argv)
+        assert code in (0, 1, 2), (argv, code)
+        if code == 0:
+            assert not re.search(r"NaN|Infinity|\bnan\b|\binf\b", out.getvalue()), argv
+
+    check()

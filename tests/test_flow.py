@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from so3g2.binaryform import BinaryForm, GL2, act, discriminant
+from so3g2.cli import main
 from so3g2.flow import (
     CANONICAL_GENERATORS,
     EndpointKind,
@@ -394,3 +396,14 @@ def test_plane_tangency_defect_float_families():
         assert plane_tangency_defect(*gen) < 1e-12
     for gen in [(1.0, 1.0, 0.0), (1.0, s3 * 1.01, s3), (0.5, 1.0, 2.9)]:
         assert plane_tangency_defect(*gen) > 1e-4
+
+
+def test_flow_cli_stops_at_a_simple_boundary_root(capsys):
+    # the loose multiplicity estimate judged the simple root 3.96959 of
+    # this line double; polishing on the derivative moved it to 4.0798,
+    # so the default range (s-max 4) sampled past Delta = 0
+    p = "-0.0006201756091347175,0.0007284980955100141,0.24511293753442095,0.0007284980955100141"
+    assert main(["flow", f"--p={p}", "--q0=1/3,0,-1,0"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert min(row[7] for row in rows) >= -1e-10
+    assert abs(abs(rows[-1][0]) - 3.9695876) < 1e-6
