@@ -1,14 +1,17 @@
 """Exact scalars and small exact linear algebra.
 
-The scalar policy of the package lives here: a computation is exact
-unless a float is present.  Python ints, Fractions and symbolic scalars
-count as exact; floats (``np.float64`` is a float) do not.  At integer
-model points the exact scalars are Python ints, which never overflow.
+The scalar policy of the package is carried by Python's number types: a
+computation is exact unless a float is present.  Constants are written
+as Fractions, so ``Fraction(1, 3) * x`` stays exact for an int, a
+Fraction or a symbolic x, and is the float ``(1/3) * x`` for a float x
+(``np.float64`` is a float).  At integer model points the exact scalars
+are Python ints, which never overflow.  ``is_exact`` decides only how
+strict a check is, and whether a determinant is reported as a float.
 
-Matrices are lists of lists of at most a few dozen rows.  Determinant
-and rank use fraction-free Gaussian elimination (Bareiss, 1968) on
+Matrices are lists of lists of at most a few dozen rows.  Determinant,
+rank and signature use fraction-free elimination (Bareiss, 1968) on
 Python ints, whose divisions are exact; a rational matrix is first
-scaled row by row to integers.
+scaled to integers.
 """
 
 from __future__ import annotations
@@ -36,12 +39,17 @@ def _integer_copy(m):
     inexact = not is_exact(v for row in a for v in row)
     scale = 1
     for i, row in enumerate(a):
-        # int(): a Fraction made from a numpy int keeps numpy parts
-        row = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, row)]
+        row = _ratios(row)
         s = math.lcm(*(den for _, den in row))
         a[i] = [num * (s // den) for num, den in row]
         scale *= s
     return a, scale, inexact
+
+
+def _ratios(row):
+    """Exact (numerator, denominator) Python-int pairs of the entries."""
+    # int(): a Fraction made from a numpy int keeps numpy parts
+    return [(int(f.numerator), int(f.denominator)) for f in map(Fraction, row)]
 
 
 def mat_det(m):
@@ -55,7 +63,8 @@ def mat_det(m):
         if a[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if swap is None:
-                return 0.0 if inexact else 0
+                sign = 0  # singular
+                break
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         pivot, row_k = a[k][k], a[k]
@@ -65,7 +74,7 @@ def mat_det(m):
                 row[c] = (pivot * row[c] - f * row_k[c]) // prev
         prev = pivot
     det = sign * a[n - 1][n - 1]
-    if scale != 1:
+    if det and scale != 1:
         det = Fraction(det, scale)
     return float(det) if inexact else det
 
@@ -126,47 +135,57 @@ def nullspace(rows):
 
 
 def sym_signature(m):
-    """(n_plus, n_minus) of a symmetric matrix by congruence diagonalization."""
-    a = [[Fraction(v) for v in row] for row in m]
+    """(n_plus, n_minus) of a symmetric matrix by congruence diagonalization.
+
+    Fraction-free, like Bareiss: after the step with pivot p the trailing
+    block holds p times the Schur complement, and the sign of the k-th
+    diagonal entry of the congruent diagonal form is sign(p) * sign(prev).
+    A zero pivot is first repaired by a symmetric swap, or else by adding
+    row and column `off` into k.
+    """
+    a = _symmetric_integer_copy(m)
     n = len(a)
     pos = neg = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             # find a usable pivot: a nonzero diagonal below, or create one
-            swap = None
-            for r in range(k + 1, n):
-                if a[r][r] != 0:
-                    swap = r
-                    break
+            swap = next((r for r in range(k + 1, n) if a[r][r] != 0), None)
             if swap is not None:
                 _congruence_swap(a, k, swap)
             else:
-                off = None
-                for r in range(k + 1, n):
-                    if a[k][r] != 0:
-                        off = r
-                        break
+                off = next((r for r in range(k + 1, n) if a[k][r] != 0), None)
                 if off is None:
                     continue  # zero row/column: null direction
                 # add row/col `off` into k to make the diagonal nonzero
-                for c in range(n):
+                for c in range(k, n):
                     a[k][c] += a[off][c]
-                for r in range(n):
+                for r in range(k, n):
                     a[r][k] += a[r][off]
-        pivot = a[k][k]
-        if pivot > 0:
+        pivot, row_k = a[k][k], a[k]
+        if (pivot > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        # `//` is exact: each trailing entry is a bordered minor of an
+        # integer matrix congruent to the input by a unimodular transform
+        # (the swaps and additions so far), and prev is its leading minor
         for r in range(k + 1, n):
-            if a[r][k] == 0:
-                continue
-            f = a[r][k] / pivot
-            for c in range(n):
-                a[r][c] -= f * a[k][c]
-            for c in range(n):
-                a[c][r] -= f * a[c][k]
+            row, f = a[r], a[r][k]
+            for c in range(k + 1, n):
+                row[c] = (pivot * row[c] - f * row_k[c]) // prev
+        prev = pivot
     return pos, neg
+
+
+def _symmetric_integer_copy(m):
+    """m times the lcm of its denominators, as Python ints; a positive
+    common scale keeps both symmetry and signature."""
+    if all(type(v) is int for row in m for v in row):
+        return [list(row) for row in m]
+    a = [_ratios(row) for row in m]
+    s = math.lcm(*(den for row in a for _, den in row))
+    return [[num * (s // den) for num, den in row] for row in a]
 
 
 def _congruence_swap(a, i, j):

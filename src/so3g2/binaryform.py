@@ -16,8 +16,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._exact import is_exact
-
 Scalar = Union[int, float, Fraction]
 
 
@@ -250,18 +248,16 @@ def split_b1_b2(x: BinaryForm, y: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
     x1, x2 = x.coeffs
     y1, y2, y3 = y.coeffs
     cubic = BinaryForm(3, [x1 * y1, x1 * y2 + x2 * y1, x1 * y3 + x2 * y2, x2 * y3])
-    two_thirds = Fraction(2, 3) if is_exact(x.coeffs + y.coeffs) else 2.0 / 3.0
-    linear = BinaryForm(1, [two_thirds * (2 * x2 * y1 - x1 * y2),
-                            two_thirds * (x2 * y2 - 2 * x1 * y3)])
+    linear = BinaryForm(1, [Fraction(2, 3) * (2 * x2 * y1 - x1 * y2),
+                            Fraction(2, 3) * (x2 * y2 - 2 * x1 * y3)])
     return cubic, linear
 
 
 def q_map(g: GL2) -> BinaryForm:
     """The cubic (1/3)(x u1 + y u2)^3 - (x u1 + y u2)(z u1 + w u2)^2."""
-    third = Fraction(1, 3) if is_exact((g.x, g.y, g.z, g.w)) else 1.0 / 3.0
     f1 = BinaryForm(1, [g.x, g.y])
     f2 = BinaryForm(1, [g.z, g.w])
-    return third * (f1 * f1 * f1) - f1 * (f2 * f2)
+    return Fraction(1, 3) * (f1 * f1 * f1) - f1 * (f2 * f2)
 
 
 # Normalization constants of the covering recipe: f1 is rescaled by
@@ -389,9 +385,17 @@ def _polish_preimage(q: BinaryForm, g: GL2) -> GL2:
     return GL2(*v)
 
 
-_SIGMA3_GEN = {
-    (1, 0, 2): GL2(-0.5, math.sqrt(3.0) / 2.0, math.sqrt(3.0) / 2.0, 0.5),  # (12)
-    (0, 2, 1): GL2(1.0, 0.0, 0.0, -1.0),                                    # (23)
+_A = GL2(-0.5, math.sqrt(3.0) / 2.0, math.sqrt(3.0) / 2.0, 0.5)  # (12)
+_B = GL2(1.0, 0.0, 0.0, -1.0)                                    # (23)
+
+# image tuple -> matrix; the last three are products of (12) and (23)
+_SIGMA3 = {
+    (0, 1, 2): GL2(1.0, 0.0, 0.0, 1.0),
+    (1, 0, 2): _A,
+    (0, 2, 1): _B,
+    (2, 1, 0): (_A @ _B) @ _A,
+    (1, 2, 0): _A @ _B,
+    (2, 0, 1): _B @ _A,
 }
 
 
@@ -401,31 +405,12 @@ def sigma3_element(perm: Sequence[int]) -> GL2:
     perm is the image tuple, e.g. (1, 0, 2) for the transposition (12);
     the map is a group homomorphism.
     """
-    perm = tuple(perm)
-    if sorted(perm) != [0, 1, 2]:
-        raise ValueError("perm must be a permutation of (0, 1, 2)")
-    if perm == (0, 1, 2):
-        return GL2(1.0, 0.0, 0.0, 1.0)
-    if perm in _SIGMA3_GEN:
-        return _SIGMA3_GEN[perm]
-    # decompose into the two generators
-    t12, t23 = (1, 0, 2), (0, 2, 1)
-    for a, b in [(t12, t23), (t23, t12)]:
-        comp = _compose_perm(a, b)
-        if comp == perm:
-            return _SIGMA3_GEN[a] @ _SIGMA3_GEN[b]
-        comp3 = _compose_perm(a, _compose_perm(b, a))
-        if comp3 == perm:
-            return _SIGMA3_GEN[a] @ _SIGMA3_GEN[b] @ _SIGMA3_GEN[a]
-    raise ValueError(f"unrecognized permutation {perm}")
-
-
-def _compose_perm(p, q):
-    """p after q as image tuples."""
-    return tuple(p[q[i]] for i in range(3))
+    try:
+        return _SIGMA3[tuple(perm)]
+    except KeyError:
+        raise ValueError("perm must be a permutation of (0, 1, 2)") from None
 
 
 def sigma3_all() -> list[GL2]:
     """All six matrices of the permutation subgroup."""
-    perms = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
-    return [sigma3_element(p) for p in perms]
+    return list(_SIGMA3.values())

@@ -34,8 +34,10 @@ from .flow import (
     line_discriminant_poly,
     _poly_real_roots,
     clock_detg,
+    flow_torsion_cubic,
     time_integral,
     plane_is_invariant,
+    _poly_eval,
 )
 from .g2 import assemble_g2, bs_metric
 from .variety import (
@@ -173,7 +175,6 @@ def cmd_flow(args) -> int:
     direction = args.direction
     if direction == 0:
         probe = 1e-6 * max(1.0, args.s_max)
-        from .flow import _poly_eval
         direction = 1 if float(_poly_eval(poly, probe)) > 0 else -1
     s_hi = args.s_max
     roots = [r for r in _poly_real_roots(poly) if 1e-12 < r * direction <= s_hi]
@@ -225,8 +226,6 @@ def _algebra_for_direction(p: BinaryForm):
     """A model algebra whose d(sigma)-reading equals p, when p factors
     with rational coefficients; the product convention is opposite in
     sign to the reading."""
-    from .flow import flow_torsion_cubic
-
     neg = BinaryForm(3, [-float(v) for v in p.coeffs])
     # try linear factors with small rational roots
     for a, b in [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)]:

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import is_exact
 from .binaryform import BinaryForm
 from .exterior import CEOperator, DIM, require_lie_algebra
 from .variety import ModelPoint, bracket_constants, structure_constants, torsion_of
@@ -42,12 +41,11 @@ class TCoords:
     @staticmethod
     def from_lambda(lam: BinaryForm) -> "TCoords":
         l1, l2, l3, l4 = lam.coeffs
-        quarter = F(1, 4) if is_exact(lam.coeffs) else 0.25
         return TCoords(
-            quarter * (l1 - l3),
-            quarter * (l4 - l2),
-            quarter * (3 * l1 + l3),
-            quarter * (l2 + 3 * l4),
+            F(1, 4) * (l1 - l3),
+            F(1, 4) * (l4 - l2),
+            F(1, 4) * (3 * l1 + l3),
+            F(1, 4) * (l2 + 3 * l4),
         )
 
 
@@ -159,15 +157,15 @@ EINSTEIN_TOL = 1e-12
 WEYL_TOL = 1e-11
 
 
-def einstein_locus_check(m: ModelPoint, tol: float = EINSTEIN_TOL) -> bool:
+def einstein_locus_check(m: ModelPoint) -> bool:
     """True iff the traceless Ricci of the built structure vanishes."""
     rep = levi_civita_oracle(structure_constants(m).to_float())
     scale = max(1.0, float(np.max(np.abs(rep.ricci))))
-    return rep.ricci_traceless_norm <= tol * scale
+    return rep.ricci_traceless_norm <= EINSTEIN_TOL * scale
 
 
-def conformally_flat_check(m: ModelPoint, tol: float = WEYL_TOL) -> bool:
+def conformally_flat_check(m: ModelPoint) -> bool:
     """True iff the Weyl tensor vanishes; on this family that means flat."""
     rep = levi_civita_oracle(structure_constants(m).to_float())
     scale = max(1.0, float(abs(rep.scalar)), rep.ricci_traceless_norm)
-    return rep.weyl_norm <= tol * scale
+    return rep.weyl_norm <= WEYL_TOL * scale

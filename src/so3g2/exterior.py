@@ -75,9 +75,9 @@ class KForm:
         return KForm(degree, {})
 
     @staticmethod
-    def basis(*indices: int, coeff: Scalar = 1) -> "KForm":
-        """The monomial coeff * e^{i1...ik}."""
-        return KForm(len(indices), {tuple(indices): coeff})
+    def basis(*indices: int) -> "KForm":
+        """The monomial e^{i1...ik}."""
+        return KForm(len(indices), {tuple(indices): 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -108,6 +108,12 @@ def _poly_eval(coeffs, s):
     return total
 
 
+def _poly_deriv(coeffs):
+    """Coefficients of the derivative, highest degree first like coeffs."""
+    deg = len(coeffs) - 1
+    return [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
+
+
 def _poly_real_roots(coeffs) -> list[float]:
     arr = np.array([float(c) for c in coeffs])
     scale = np.max(np.abs(arr)) if np.max(np.abs(arr)) > 0 else 1.0
@@ -152,9 +158,8 @@ def _newton_on_derivative(coeffs, order: int, r: float) -> float:
     """Newton iteration from r on the order-th derivative of the polynomial."""
     work = [float(c) for c in coeffs]
     for _ in range(order):
-        deg = len(work) - 1
-        work = [work[i] * (deg - i) for i in range(deg)]
-    der = [work[i] * (len(work) - 1 - i) for i in range(len(work) - 1)]
+        work = _poly_deriv(work)
+    der = _poly_deriv(work)
     for _ in range(60):
         f = _poly_eval(work, r)
         fp = _poly_eval(der, r)
@@ -171,15 +176,11 @@ def _root_multiplicity(coeffs, s0, tol=1e-9) -> int:
     arr = [float(c) for c in coeffs]
     scale = max(abs(v) for v in arr) or 1.0
     mult = 0
-    deg = len(arr) - 1
-    while deg >= 0:
-        if abs(_poly_eval(arr, s0)) > tol * scale * max(1.0, abs(s0)) ** deg:
+    while arr:
+        if abs(_poly_eval(arr, s0)) > tol * scale * max(1.0, abs(s0)) ** (len(arr) - 1):
             break
         mult += 1
-        deg -= 1
-        arr = [c * (deg + 1 - i) for i, c in enumerate(arr[:-1])]
-        if not arr:
-            break
+        arr = _poly_deriv(arr)
     return mult
 
 
@@ -348,8 +349,7 @@ def _nearest_frame(cands, prev: Optional[GL2], want_positive_det: bool) -> GL2:
     return min(pool, key=dist)
 
 
-def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values,
-                   t_start: float = 0.0) -> Trajectory:
+def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
     """Sample the closed-form flow along prescribed line parameters.
 
     s_values are offsets from q_start; the interior must have positive
@@ -358,7 +358,7 @@ def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values,
     traj = Trajectory(p=p, q_start=q_start)
     prev_g = None
     prev_s = None
-    t = t_start
+    t = 0.0
     for s in s_values:
         q = line_cubic(q_start, p, s)
         disc = float(discriminant(q))
@@ -417,8 +417,7 @@ class OracleTrajectory:
     status: str
 
 
-def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60,
-                      rtol: float = 1e-11, atol: float = 1e-13) -> OracleTrajectory:
+def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60) -> OracleTrajectory:
     """Integrate gamma' = d sigma, (sigma^2)' = -2 d gamma_hat directly.
 
     The state is the invariant 3-form gamma (four coefficients) together
@@ -462,7 +461,7 @@ def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60,
     stability.terminal = True
     stability.direction = 0
 
-    sol = _sciint.solve_ivp(rhs, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+    sol = _sciint.solve_ivp(rhs, t_span, y0, method="DOP853", rtol=1e-11, atol=1e-13,
                             dense_output=True, events=stability, max_step=abs(t_span[1] - t_span[0]) / 8)
     ts = np.linspace(t_span[0], sol.t[-1], n_samples)
     gammas, sigma2s, qs = [], [], []
@@ -482,12 +481,15 @@ def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60,
 # endpoints
 # ---------------------------------------------------------------------------
 
-def _triple_root(q: BinaryForm, tol: float):
+_ENDPOINT_TOL = 1e-9
+
+
+def _triple_root(q: BinaryForm):
     """(root f, lambda) if q = lambda f^3, else None."""
     q1, q2, q3, q4 = (float(v) for v in q.coeffs)
     scale = max(abs(q1), abs(q2), abs(q3), abs(q4))
     hess = (q2 * q2 - 3 * q1 * q3, q2 * q3 - 9 * q1 * q4, q3 * q3 - 3 * q2 * q4)
-    if max(abs(h) for h in hess) > tol * max(1.0, scale) ** 2:
+    if max(abs(h) for h in hess) > _ENDPOINT_TOL * max(1.0, scale) ** 2:
         return None
     if abs(q1) >= abs(q4):
         alpha, beta = 3 * q1, q2
@@ -507,7 +509,7 @@ class InvalidEndpoint(ValueError):
     pass
 
 
-def endpoint_classify(p: BinaryForm, q_end: BinaryForm, tol: float = 1e-9) -> EndpointInfo:
+def endpoint_classify(p: BinaryForm, q_end: BinaryForm) -> EndpointInfo:
     """Classify a boundary cubic of the flow line in direction p.
 
     Valid endpoints are the zero cubic or lambda f^3 with f a linear
@@ -518,15 +520,16 @@ def endpoint_classify(p: BinaryForm, q_end: BinaryForm, tol: float = 1e-9) -> En
     The returned root is unit-normalized with its first nonzero
     component positive and the coefficient scaled so q_end = lambda * root^3.
     """
+    tol = _ENDPOINT_TOL
     scale = max(1.0, q_end.norm()) ** 4
     if abs(float(discriminant(q_end))) > tol * scale:
         raise InvalidEndpoint("endpoint must have vanishing discriminant")
     line_poly = line_discriminant_poly(q_end, p)
-    if not _line_enters_positive(line_poly, tol):
+    if not _line_enters_positive(line_poly):
         raise InvalidEndpoint("flow line never has positive discriminant at this point")
     if q_end.norm() <= tol * max(1.0, p.norm()):
         return EndpointInfo(kind=EndpointKind.ZeroCubic, root=None, lambda_coefficient=0.0)
-    tr = _triple_root(q_end, tol)
+    tr = _triple_root(q_end)
     if tr is None:
         raise InvalidEndpoint("invalid endpoint: double root that is not triple")
     root, lam = tr
@@ -537,13 +540,13 @@ def endpoint_classify(p: BinaryForm, q_end: BinaryForm, tol: float = 1e-9) -> En
                         lambda_coefficient=lam)
 
 
-def _line_enters_positive(poly, tol: float) -> bool:
+def _line_enters_positive(poly) -> bool:
     """Whether Delta(q + s p) > 0 for small |s| != 0 on at least one side."""
     coeffs = [float(c) for c in poly]
     scale = max(abs(c) for c in coeffs) or 1.0
     ordered = coeffs[::-1]  # [c0, c1, c2, c3, c4]; lowest order decides near s = 0
     for j, c in enumerate(ordered):
-        if abs(c) > tol * scale:
+        if abs(c) > _ENDPOINT_TOL * scale:
             if j == 0:
                 return c > 0
             pos_right = c > 0
@@ -605,11 +608,19 @@ def contraction_plane(a, b, c):
     The plane is cut out by l2 = l4 and the derivative condition
     3c l1 + 4a l2 + (2b - c) l3 = 0; exact rational basis vectors.
     """
-    rows = [
-        [F(3) * c, F(4) * a, F(2) * b - c, F(0)],
-        [F(0), F(1), F(0), F(-1)],
-    ]
-    return nullspace(rows)
+    return nullspace(_plane_rows(a, b, c))
+
+
+def _plane_rows(a, b, c):
+    """The two equations of the candidate plane, in the scalars of (a, b, c)."""
+    return [[3 * c, 4 * a, 2 * b - c, 0], [0, 1, 0, -1]]
+
+
+def contraction_plane_float(a, b, c) -> np.ndarray:
+    """Orthonormal float basis (rows) of the candidate plane, by SVD; the
+    float counterpart of ``contraction_plane``."""
+    _, _, vt = np.linalg.svd(np.array(_plane_rows(a, b, c), dtype=float))
+    return vt[2:]
 
 
 def plane_is_invariant(a, b, c) -> bool:
@@ -640,10 +651,7 @@ def plane_tangency_defect(a, b, c) -> float:
     Infinite when the field vanishes identically on the plane, so that a
     trivial orbit never counts as qualifying.
     """
-    rows = np.array([[3.0 * c, 4.0 * a, 2.0 * b - c, 0.0],
-                     [0.0, 1.0, 0.0, -1.0]], dtype=float)
-    _, _, vt = np.linalg.svd(rows)
-    null = vt[2:]
+    null = contraction_plane_float(a, b, c)
     defect = 0.0
     size = 0.0
     for v in null:

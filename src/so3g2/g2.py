@@ -214,8 +214,7 @@ def case2_family(lam: float) -> MetricFamily:
     )
 
 
-def smoothness_check(family: MetricFamily, z_probe: float = 0.25,
-                     tol: float = 1e-9) -> bool:
+def smoothness_check(family: MetricFamily) -> bool:
     """Whether the family extends smoothly over the collapsed orbit.
 
     Criteria: base, angular and radial coefficients extend to even
@@ -223,13 +222,12 @@ def smoothness_check(family: MetricFamily, z_probe: float = 0.25,
     radial coefficients agree at z = 0 (otherwise the radial-direction
     obstruction term survives).
     """
-    zs = [z_probe, z_probe / 2.0, z_probe / 4.0]
     for f in (family.base, family.angular, family.rad):
-        for z in zs:
+        for z in (0.25, 0.125, 0.0625):
             plus, minus = f(z), f(-z)
             if not (math.isfinite(plus) and math.isfinite(minus)):
                 return False
-            if abs(plus - minus) > tol * max(1.0, abs(plus)):
+            if abs(plus - minus) > 1e-9 * max(1.0, abs(plus)):
                 return False  # odd component: not even in z
             if plus <= 0:
                 return False
@@ -241,9 +239,9 @@ def smoothness_check(family: MetricFamily, z_probe: float = 0.25,
     return abs(a0 - r0) <= 1e-8 * max(1.0, abs(r0))
 
 
-def _limit_at_zero(f: Callable[[float], float], h: float = 1e-3) -> float:
-    # Richardson extrapolation of f(h), f(h/2) assuming an even function
-    v1, v2 = f(h), f(h / 2.0)
+def _limit_at_zero(f: Callable[[float], float]) -> float:
+    # Richardson extrapolation of f(h), f(h/2) at h = 1e-3, assuming an even function
+    v1, v2 = f(1e-3), f(5e-4)
     return (4.0 * v2 - v1) / 3.0
 
 
@@ -284,8 +282,7 @@ def triality_action(k: int, m: ModelPoint) -> ModelPoint:
 # numerical curvature of a cohomogeneity-one metric (spot check)
 # ---------------------------------------------------------------------------
 
-def ricci7(family: MetricFamily, d: CEOperator, z: float,
-           dz: float = 1e-3) -> np.ndarray:
+def ricci7(family: MetricFamily, d: CEOperator, z: float) -> np.ndarray:
     """Numerical Ricci (7x7, orthonormal frame) of
     rad dz^2 + base (odd block) + fib (even block) over the algebra d.
 
@@ -294,6 +291,7 @@ def ricci7(family: MetricFamily, d: CEOperator, z: float,
     central differences, enters as the frame derivative along E_0.
     """
     c = _structure7(family, d, z)
+    dz = 1e-3
     dgam = np.zeros((7,) * 4)
     dgam[0] = central_difference(
         lambda k: koszul_connection(_structure7(family, d, z + k * dz)), dz
@@ -305,10 +303,10 @@ def _scales(family: MetricFamily, z: float) -> np.ndarray:
     return np.sqrt([family.rad(z)] + [family.base(z), family.fib(z)] * 3)
 
 
-def _structure7(family: MetricFamily, d: CEOperator, z: float,
-                dz: float = 1e-4) -> np.ndarray:
+def _structure7(family: MetricFamily, d: CEOperator, z: float) -> np.ndarray:
     """c[e, a, b] with [E_a, E_b] = sum_e c[e,a,b] E_e for the orthonormal
     frame E_0 = rad^(-1/2) d/dz, E_i = f_i^(-1/2) e_i."""
+    dz = 1e-4
     f = _scales(family, z)
     fp = central_difference(lambda k: _scales(family, z + k * dz), dz)
     c = np.zeros((7, 7, 7))

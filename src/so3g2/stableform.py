@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import is_exact
 from .binaryform import BinaryForm
 from .exterior import DIM, KForm, interior, pullback, wedge, wedge_all
 
@@ -101,18 +100,14 @@ def hitchin_invariant(rho: KForm, vol_orientation: KForm | None = None) -> float
 _STABLE_TOL = 1e-14
 
 
-def hitchin_dual(rho: KForm, vol_orientation: KForm | None = None) -> KForm:
+def hitchin_dual(rho: KForm) -> KForm:
     """The 3-form rho_hat making rho + i rho_hat decomposable.
 
     Requires rho stable of negative (complex) type; the double dual is
     -rho and the operation is degree-one homogeneous in rho.
     """
-    vol = REFERENCE_VOLUME if vol_orientation is None else vol_orientation
-    vc = float(vol.coeffs.get(tuple(range(1, DIM + 1)), 0))
-    if vc == 0:
-        raise ValueError("vol_orientation must be a nonzero 6-form")
     rho_f = rho.to_float()
-    k = _k_matrix(rho_f, vc)
+    k = _k_matrix(rho_f, float(REFERENCE_VOLUME.coeffs[tuple(range(1, DIM + 1))]))
     lam = float(np.trace(k @ k)) / 6.0
     scale = max(1.0, rho_f.max_abs()) ** 4
     if lam >= -_STABLE_TOL * scale:
@@ -121,12 +116,12 @@ def hitchin_dual(rho: KForm, vol_orientation: KForm | None = None) -> KForm:
     return pullback(j, rho_f)
 
 
-def volume_of_stable(rho: KForm, vol_orientation: KForm | None = None) -> float:
+def volume_of_stable(rho: KForm) -> float:
     """Stable-form volume, normalized so the standard gamma has volume 2."""
-    lam = hitchin_invariant(rho, vol_orientation)
+    lam = hitchin_invariant(rho)
     if lam >= 0:
         raise ValueError("not stable of complex type")
-    lam0 = hitchin_invariant(GAMMA, vol_orientation)
+    lam0 = hitchin_invariant(GAMMA)
     return 2.0 * math.sqrt(lam / lam0)
 
 
@@ -170,7 +165,7 @@ def cubic_to_3form(q: BinaryForm) -> KForm:
     return (3 * q1) * B3_BASIS[0] + q2 * B3_BASIS[1] + q3 * B3_BASIS[2] + (3 * q4) * B3_BASIS[3]
 
 
-def threeform_to_cubic(a: KForm, tol: float = 1e-9) -> BinaryForm:
+def threeform_to_cubic(a: KForm) -> BinaryForm:
     """Inverse of cubic_to_3form; raises if a is not of that invariant shape."""
     if a.degree != 3:
         raise ValueError("expected a 3-form")
@@ -180,17 +175,17 @@ def threeform_to_cubic(a: KForm, tol: float = 1e-9) -> BinaryForm:
         [(1, 4, 6), (2, 3, 6), (2, 4, 5)],
         [(2, 4, 6)],
     ]
+    tol = 1e-9 * max(1.0, a.max_abs())
     seen = set()
     vals = []
     for grp in groups:
         ref = a.coeffs.get(grp[0], 0)
         for idx in grp:
             seen.add(idx)
-            if abs(float(a.coeffs.get(idx, 0)) - float(ref)) > tol * max(1.0, a.max_abs()):
+            if abs(float(a.coeffs.get(idx, 0)) - float(ref)) > tol:
                 raise ValueError("3-form is not in the invariant cone shape")
         vals.append(ref)
     for idx, c in a.coeffs.items():
-        if idx not in seen and abs(float(c)) > tol * max(1.0, a.max_abs()):
+        if idx not in seen and abs(float(c)) > tol:
             raise ValueError("3-form has components outside the invariant basis")
-    third = F(1, 3) if is_exact(vals) else 1.0 / 3.0
-    return BinaryForm(3, [third * vals[0], vals[1], vals[2], third * vals[3]])
+    return BinaryForm(3, [F(1, 3) * vals[0], vals[1], vals[2], F(1, 3) * vals[3]])

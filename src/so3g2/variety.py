@@ -76,14 +76,12 @@ def torsion_blocks(t: TorsionData):
     """
     l1, l2, l3, l4 = t.lam.coeffs
     m1, m2 = t.mu.coeffs
-    exact = is_exact(t.lam.coeffs + t.mu.coeffs)
-    third, half = (F(1, 3), F(1, 2)) if exact else (1.0 / 3.0, 0.5)
-    a = -third * l2 + m1
+    a = -F(1, 3) * l2 + m1
     b = -l4
-    c = -third * l3 + half * m2
+    c = -F(1, 3) * l3 + F(1, 2) * m2
     q = l1
-    p = third * l3 + m2
-    r = third * l2 + half * m1
+    p = F(1, 3) * l3 + m2
+    r = F(1, 3) * l2 + F(1, 2) * m1
     return tuple(v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
                  for v in (a, b, c, q, p, r))
 
@@ -152,7 +150,7 @@ class NotInvariantTorsion(ValueError):
     pass
 
 
-def torsion_from_coframe(d: CEOperator, tol: float = 1e-10) -> BinaryForm:
+def torsion_from_coframe(d: CEOperator) -> BinaryForm:
     """Recover the torsion cubic from d sigma, validating the whole complex.
 
     Raises NotInvariantTorsion when d sigma does not have the invariant
@@ -166,20 +164,21 @@ def torsion_from_coframe(d: CEOperator, tol: float = 1e-10) -> BinaryForm:
         ((1, 3, 5), 3), ((2, 3, 5), 1), ((1, 4, 5), 1), ((1, 3, 6), 1),
         ((1, 4, 6), 1), ((2, 3, 6), 1), ((2, 4, 5), 1), ((2, 4, 6), 3),
     ]
+    # scale >= 1; exact operators are held to equality, floats to 1e-10
     scale = max(1.0, dsigma.max_abs())
+    tol = 1e-10 * scale
 
     def close(u, v):
         if exact:
             return u == v
-        return abs(float(u) - float(v)) <= tol * scale
+        return abs(float(u) - float(v)) <= tol
 
     coeffs = {idx: dsigma.coeffs.get(idx, 0) for idx, _ in groups}
     for idx, c in dsigma.coeffs.items():
         if idx not in coeffs and not close(c, 0):
             raise NotInvariantTorsion(f"d sigma has stray component {idx}")
-    third = F(1, 3) if exact else 1.0 / 3.0
-    l1 = third * coeffs[(1, 3, 5)]
-    l4 = third * coeffs[(2, 4, 6)]
+    l1 = F(1, 3) * coeffs[(1, 3, 5)]
+    l4 = F(1, 3) * coeffs[(2, 4, 6)]
     l2 = coeffs[(2, 3, 5)]
     l3 = coeffs[(1, 4, 6)]
     for idx in [(1, 4, 5), (1, 3, 6)]:
@@ -191,16 +190,15 @@ def torsion_from_coframe(d: CEOperator, tol: float = 1e-10) -> BinaryForm:
     lam = BinaryForm(3, [l1, l2, l3, l4])
 
     # validate the rest of the exterior-derivative complex
-    half = F(1, 2) if exact else 0.5
     sigma2 = wedge(SIGMA, SIGMA)
     eta0 = KForm(3, {(1, 3, 5): F(1)})
     checks = [
-        (apply_d(d, eta0), -half * l4),
-        (apply_d(d, GAMMA_HAT), half * (l3 - l1)),
+        (apply_d(d, eta0), -F(1, 2) * l4),
+        (apply_d(d, GAMMA_HAT), F(1, 2) * (l3 - l1)),
     ]
     for got, coeff in checks:
         want = coeff * sigma2
-        if (got.to_float() - want.to_float()).max_abs() > tol * max(1.0, scale):
+        if (got.to_float() - want.to_float()).max_abs() > tol:
             raise NotInvariantTorsion("exterior-derivative complex is inconsistent")
     # the two rotated simple 3-forms (float entries)
     s3 = math.sqrt(3.0)
@@ -211,7 +209,7 @@ def torsion_from_coframe(d: CEOperator, tol: float = 1e-10) -> BinaryForm:
     ]:
         got = apply_d(d.to_float(), eta)
         want = coeff * sigma2.to_float()
-        if (got - want).max_abs() > max(tol, 1e-9) * max(1.0, scale):
+        if (got - want).max_abs() > 1e-9 * scale:
             raise NotInvariantTorsion("rotated 3-form derivatives are inconsistent")
     return lam
 
@@ -223,20 +221,17 @@ def su3_components(lam: BinaryForm):
     W1minus = (l3 - l1)/2 and W3 the residual 3-form beta.
     """
     l1, l2, l3, l4 = lam.coeffs
-    exact = is_exact(lam.coeffs)
-    half = F(1, 2) if exact else 0.5
-    quarter = F(1, 4) if exact else 0.25
-    w1p = half * (l2 - l4)
-    w1m = half * (l3 - l1)
+    w1p = F(1, 2) * (l2 - l4)
+    w1m = F(1, 2) * (l3 - l1)
     beta = KForm(3, {
-        (2, 3, 5): quarter * (l2 + 3 * l4),
-        (1, 4, 5): quarter * (l2 + 3 * l4),
-        (1, 3, 6): quarter * (l2 + 3 * l4),
-        (2, 4, 6): 3 * quarter * (l2 + 3 * l4),
-        (2, 4, 5): quarter * (3 * l1 + l3),
-        (1, 4, 6): quarter * (3 * l1 + l3),
-        (2, 3, 6): quarter * (3 * l1 + l3),
-        (1, 3, 5): 3 * quarter * (3 * l1 + l3),
+        (2, 3, 5): F(1, 4) * (l2 + 3 * l4),
+        (1, 4, 5): F(1, 4) * (l2 + 3 * l4),
+        (1, 3, 6): F(1, 4) * (l2 + 3 * l4),
+        (2, 4, 6): F(3, 4) * (l2 + 3 * l4),
+        (2, 4, 5): F(1, 4) * (3 * l1 + l3),
+        (1, 4, 6): F(1, 4) * (3 * l1 + l3),
+        (2, 3, 6): F(1, 4) * (3 * l1 + l3),
+        (1, 3, 5): F(3, 4) * (3 * l1 + l3),
     })
     return w1p, w1m, beta
 
@@ -244,17 +239,15 @@ def su3_components(lam: BinaryForm):
 def skew_torsion_3form(lam: BinaryForm) -> KForm:
     """Torsion 3-form of the adjusted connection with skew invariant torsion."""
     l1, l2, l3, l4 = lam.coeffs
-    exact = is_exact(lam.coeffs)
-    half = F(1, 2) if exact else 0.5
     return KForm(3, {
-        (2, 3, 5): half * l1,
-        (1, 4, 5): half * l1,
-        (1, 3, 6): half * l1,
-        (2, 4, 6): half * (2 * l1 + l3),
-        (1, 3, 5): -half * (l2 + 2 * l4),
-        (1, 4, 6): -half * l4,
-        (2, 3, 6): -half * l4,
-        (2, 4, 5): -half * l4,
+        (2, 3, 5): F(1, 2) * l1,
+        (1, 4, 5): F(1, 2) * l1,
+        (1, 3, 6): F(1, 2) * l1,
+        (2, 4, 6): F(1, 2) * (2 * l1 + l3),
+        (1, 3, 5): -F(1, 2) * (l2 + 2 * l4),
+        (1, 4, 6): -F(1, 2) * l4,
+        (2, 3, 6): -F(1, 2) * l4,
+        (2, 4, 5): -F(1, 2) * l4,
     })
 
 
@@ -265,13 +258,10 @@ def tau_lambda(lam: BinaryForm) -> dict:
     alternation reproduces kappa(lam, 0) modulo the so(3) part.
     """
     l1, l2, l3, l4 = lam.coeffs
-    exact = is_exact(lam.coeffs)
-    half = F(1, 2) if exact else 0.5
-    quarter = F(1, 4) if exact else 0.25
-    a13 = quarter * (l1 + l3)
-    b4 = -half * l4
-    c24 = quarter * (l2 + l4)
-    d1 = half * l1
+    a13 = F(1, 4) * (l1 + l3)
+    b4 = -F(1, 2) * l4
+    c24 = F(1, 4) * (l2 + l4)
+    d1 = F(1, 2) * l1
     form_m = {  # e46 - e35 pattern per pair, and e45 + e36 pattern
         1: KForm(2, {(4, 6): c24, (3, 5): -c24, (4, 5): d1, (3, 6): d1}),
         2: KForm(2, {(4, 6): a13, (3, 5): -a13, (4, 5): b4, (3, 6): b4}),
@@ -454,7 +444,7 @@ def center_dim(d: CEOperator) -> int:
     return DIM - _exact.mat_rank(rows)
 
 
-def is_nilpotent(d: CEOperator, max_steps: int = DIM + 1) -> bool:
+def is_nilpotent(d: CEOperator) -> bool:
     """Lower-central-series test on the bracket constants (exact input)."""
     c = bracket_constants(d)
     basis = [[F(1) if i == j else F(0) for j in range(DIM)] for i in range(DIM)]
@@ -472,7 +462,7 @@ def is_nilpotent(d: CEOperator, max_steps: int = DIM + 1) -> bool:
         return out
 
     current = basis
-    for _ in range(max_steps):
+    for _ in range(DIM + 1):
         next_rows = []
         for u in basis:
             for v in current:

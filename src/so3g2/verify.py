@@ -39,6 +39,7 @@ from .flow import (
     Trajectory,
     FlowState,
     contraction_plane,
+    contraction_plane_float,
     plane_tangency_defect,
     direct_ode_oracle,
     endpoint_classify,
@@ -53,6 +54,7 @@ from .flow import (
     plane_is_invariant,
     planes_equal,
     time_integral,
+    _poly_deriv,
     _poly_eval,
 )
 from .g2 import (
@@ -117,10 +119,10 @@ def _random_point_exact(rng, span=6) -> ModelPoint:
             return ModelPoint.make(x, y)
 
 
-def _random_point_float(rng, span=2.0) -> ModelPoint:
+def _random_point_float(rng) -> ModelPoint:
     while True:
-        x = [rng.uniform(-span, span) for _ in range(2)]
-        y = [rng.uniform(-span, span) for _ in range(3)]
+        x = [rng.uniform(-2.0, 2.0) for _ in range(2)]
+        y = [rng.uniform(-2.0, 2.0) for _ in range(3)]
         if max(abs(v) for v in x) > 0.1 and max(abs(v) for v in y) > 0.1:
             return ModelPoint.make(x, y)
 
@@ -390,7 +392,7 @@ def suite_flow_clock(seed: int = 6, n_samples: int = 20) -> SuiteResult:
     # monotonicity away from the Hermitian locus + stationarity at it
     p_h = BinaryForm(3, [1.0, 0.0, 1.0, 0.0])  # Hermitian at the identity frame
     c = [float(v) for v in line_discriminant_poly(Q0.to_float(), p_h)]
-    dc = [c[i] * (4 - i) for i in range(4)]
+    dc = _poly_deriv(c)
 
     def dpoly(s):
         return _poly_eval(dc, s)
@@ -653,10 +655,7 @@ def suite_contractions() -> SuiteResult:
         if not matches_canonical([[float(x) for x in v] for v in basis]):
             bad.append(gen)
     for gen in qualifying_f:
-        rows = np.array([[3.0 * gen[2], 4.0 * gen[0], 2.0 * gen[1] - gen[2], 0.0],
-                         [0.0, 1.0, 0.0, -1.0]])
-        _, _, vt = np.linalg.svd(rows)
-        if not matches_canonical([list(v) for v in vt[2:]]):
+        if not matches_canonical([list(v) for v in contraction_plane_float(*gen)]):
             bad.append(gen)
     found = [any(planes_equal(contraction_plane(*gen), cb) for gen in qualifying)
              for cb in canonical]

@@ -1,5 +1,6 @@
-"""The exact layer: Bareiss det/rank against Fraction elimination, the
-scalar policy, and symbolic proofs of the two exact identities."""
+"""The exact layer: Bareiss det/rank/signature against Fraction
+elimination, the scalar policy, and symbolic proofs of the two exact
+identities."""
 
 import random
 from fractions import Fraction
@@ -7,10 +8,23 @@ from fractions import Fraction
 import pytest
 
 from so3g2 import variety, verify
-from so3g2._exact import is_exact, mat_det, mat_rank, nullspace
-from so3g2.binaryform import discriminant, resultant
+from so3g2._exact import is_exact, mat_det, mat_rank, nullspace, sym_signature
+from so3g2.binaryform import GL2, BinaryForm, discriminant, q_map, resultant, split_b1_b2
+from so3g2.curvature import TCoords
 from so3g2.exterior import apply_d
-from so3g2.variety import ModelPoint, bracket_constants, killing_form, structure_constants
+from so3g2.stableform import cubic_to_3form, threeform_to_cubic
+from so3g2.variety import (
+    ModelPoint,
+    TorsionData,
+    bracket_constants,
+    killing_form,
+    skew_torsion_3form,
+    structure_constants,
+    su3_components,
+    tau_lambda,
+    torsion_blocks,
+    torsion_from_coframe,
+)
 
 
 # Reference: plain Gaussian elimination over Fraction, as the package did
@@ -204,3 +218,144 @@ def test_symbolic_identities():
     det = b.det(method="berkowitz")
     want = (4 * discriminant(m.y) * resultant(m.x, m.y) ** 2) ** 3
     assert sp.expand(det - want) == 0
+
+
+def ref_sym_signature(m):
+    """Congruence diagonalization over Fraction, as the package did before
+    it moved the signature to fraction-free elimination on Python ints."""
+    a = [[Fraction(v) for v in row] for row in m]
+    n = len(a)
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][r] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                off = next((r for r in range(k + 1, n) if a[k][r] != 0), None)
+                if off is None:
+                    continue
+                for c in range(n):
+                    a[k][c] += a[off][c]
+                for r in range(n):
+                    a[r][k] += a[r][off]
+        pivot = a[k][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(k + 1, n):
+            if a[r][k] == 0:
+                continue
+            f = a[r][k] / pivot
+            for c in range(n):
+                a[r][c] -= f * a[k][c]
+            for c in range(n):
+                a[c][r] -= f * a[c][k]
+    return pos, neg
+
+
+def _random_symmetric(rng, kind):
+    n = rng.randint(1, 7)
+    if kind == "low-rank":
+        # sum of r signed squares of random rows: rank <= r, mixed signs
+        r = rng.randint(0, n)
+        vecs = [[_entry(rng, "mixed") for _ in range(n)] for _ in range(r)]
+        signs = [rng.choice((-1, 1)) for _ in range(r)]
+        return [[sum((s * v[i] * v[j] for s, v in zip(signs, vecs)), 0) for j in range(n)]
+                for i in range(n)]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "zero-diagonal" and (i == j or rng.random() < 0.5):
+                continue
+            a[i][j] = a[j][i] = _entry(rng, "int" if kind == "int" else "fraction")
+    if rng.random() < 0.2:
+        # a zero row and column
+        k = rng.randrange(n)
+        for i in range(n):
+            a[k][i] = a[i][k] = 0
+    return a
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "zero-diagonal", "low-rank"])
+def test_sym_signature_matches_fraction_congruence(kind):
+    rng = random.Random(2718)
+    for _ in range(500):
+        a = _random_symmetric(rng, kind)
+        assert sym_signature(a) == ref_sym_signature(a), a
+
+
+def test_sym_signature_edge_cases():
+    assert sym_signature([]) == (0, 0)
+    assert sym_signature([[0] * 4 for _ in range(4)]) == (0, 0)
+    assert sym_signature([[0, 1], [1, 0]]) == (1, 1)
+    assert sym_signature([[0, Fraction(1, 2), 0], [Fraction(1, 2), 0, 0], [0, 0, -3]]) == (1, 2)
+    # singular: the rank-one square of (1, 2, 3)
+    assert sym_signature([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == (1, 0)
+    assert sym_signature([[0.5, 0.25], [0.25, -1.0]]) == (1, 1)
+
+
+def test_sym_signature_of_killing_suite_matrices():
+    rng = random.Random(1)
+    for _ in range(200):
+        b = killing_form(structure_constants(verify._random_point_exact(rng, span=4)))
+        assert sym_signature(b) == ref_sym_signature(b)
+
+
+# The scalar policy: each function below writes its constants as Fractions
+# and lets Python's number types decide whether the result is exact.
+
+def _inputs(kind, n=5):
+    base = [2, -1, 3, 1, -2][:n]
+    if kind == "int":
+        return base
+    if kind == "fraction":
+        return [Fraction(v, 3) for v in base]
+    if kind == "float":
+        return [v / 3.0 + 0.1 for v in base]
+    sp = pytest.importorskip("sympy")
+    return list(sp.symbols(f"s0:{n}"))
+
+
+def _su3_outputs(lam):
+    w1p, w1m, beta = su3_components(lam)
+    return [w1p, w1m, *beta.coeffs.values()]
+
+
+POLICY_CASES = {
+    "split_b1_b2": lambda v: [c for f in split_b1_b2(BinaryForm(1, v[:2]), BinaryForm(2, v[2:]))
+                              for c in f.coeffs],
+    "q_map": lambda v: q_map(GL2(*v[:4])).coeffs,
+    "TCoords.from_lambda": lambda v: vars(TCoords.from_lambda(BinaryForm(3, v[:4]))).values(),
+    "threeform_to_cubic": lambda v: threeform_to_cubic(cubic_to_3form(BinaryForm(3, v[:4]))).coeffs,
+    "torsion_blocks": lambda v: torsion_blocks(
+        TorsionData(BinaryForm(3, v[:4]), BinaryForm(1, [v[4], v[0]]))),
+    "torsion_from_coframe": lambda v: torsion_from_coframe(
+        structure_constants(ModelPoint.make(v[:2], v[2:]))).coeffs,
+    "su3_components": lambda v: _su3_outputs(BinaryForm(3, v[:4])),
+    "skew_torsion_3form": lambda v: skew_torsion_3form(BinaryForm(3, v[:4])).coeffs.values(),
+    "tau_lambda": lambda v: [c for f in tau_lambda(BinaryForm(3, v[:4])).values()
+                             for c in f.coeffs.values()],
+}
+
+# these two hold their input to float tolerances, so they take numbers only
+NUMERIC_ONLY = {"threeform_to_cubic", "torsion_from_coframe"}
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in sorted(POLICY_CASES) for kind in ("int", "fraction", "float", "sympy")
+    if not (kind == "sympy" and name in NUMERIC_ONLY)
+])
+def test_scalar_policy_of_fraction_constants(name, kind):
+    out = list(POLICY_CASES[name](_inputs(kind)))
+    assert out
+    if kind == "float":
+        assert all(type(v) is float for v in out), out
+    elif kind == "sympy":
+        sp = pytest.importorskip("sympy")
+        assert not any(isinstance(v, float) or sp.sympify(v).atoms(sp.Float) for v in out), out
+    else:
+        assert all(isinstance(v, (int, Fraction)) for v in out), out
