@@ -35,9 +35,9 @@ from .flow import (
     _poly_real_roots,
     clock_detg,
     flow_torsion_cubic,
-    time_integral,
     plane_is_invariant,
     _poly_eval,
+    _time_integral,
 )
 from .g2 import assemble_g2, bs_metric
 from .variety import (
@@ -186,7 +186,7 @@ def cmd_flow(args) -> int:
     prev = 0.0
     for s in svals:
         q = line_cubic(q0, p, s)
-        t += time_integral(q0, p, prev, s)
+        t += _time_integral(poly, prev, s)
         prev = s
         rows.append([s, t] + [float(v) for v in q.coeffs]
                     + [clock_detg(q), float(discriminant(q))])

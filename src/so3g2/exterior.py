@@ -6,16 +6,25 @@ into the coefficient.  Coefficients are either exact (Python ints or
 ``fractions.Fraction``) or floats; the kinds mix the way Python scalars
 do, so a computation stays exact until a float enters it.
 
-Chevalley-Eilenberg operators (a choice of d on degree one, extended as
-an anti-derivation) live here too, together with the d^2 = 0 test that
-encodes the Jacobi identity.
+The linear maps act on coefficient vectors in the order of ``BASIS[k]``,
+the increasing index tuples of Lambda^k (sizes 1, 6, 15, 20, 15, 6, 1):
+a pullback multiplies by the matrix of k x k minors, and each
+Chevalley-Eilenberg operator (a choice of d on degree one, extended as
+an anti-derivation) builds its matrices d_k: Lambda^k -> Lambda^(k+1)
+once, so d, and the d^2 = 0 test that encodes the Jacobi identity, are
+matrix-vector products.  The arrays are float64 for float coefficients
+and object arrays of the exact scalars otherwise.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from ._exact import is_exact
 
@@ -39,6 +48,43 @@ def _sort_with_sign(indices: Sequence[int]):
         if idx[i - 1] == idx[i]:
             return None
     return tuple(idx), sign
+
+
+#: BASIS[k]: the increasing index tuples of Lambda^k(R^6), in vector order
+BASIS = tuple(tuple(itertools.combinations(range(1, DIM + 1), k)) for k in range(DIM + 1))
+_POSITION = tuple({idx: n for n, idx in enumerate(b)} for b in BASIS)
+
+
+@functools.cache
+def _minor_table(k: int):
+    """Flat indices into a 6x6 matrix and permutation signs for its k x k minors.
+
+    Entry [r, I, s, J] of the index array is (I_{perm_s(r)}, J_r) for
+    I, J in BASIS[k], so the product over r, summed over the permutations s
+    with their signs, is det m[I, J].
+    """
+    perms = list(itertools.permutations(range(k)))
+    sign = np.array([_sort_with_sign(p)[1] for p in perms])
+    idx = np.array(BASIS[k], dtype=np.intp) - 1
+    flat = idx[:, perms][:, :, None, :] * DIM + idx[None, None, :, :]
+    return np.moveaxis(flat, 3, 0).copy(), sign
+
+
+@functools.cache
+def _contract_wedge(k: int, l: int):
+    """Index arrays (j, p, q, row, sign) over the nonzero products
+    (e_j -| e^P) ^ e^Q = sign * e^R, for P = BASIS[k][p], Q = BASIS[l][q]
+    and R = BASIS[k - 1 + l][row], with 0-based j."""
+    out = []
+    for p, pidx in enumerate(BASIS[k]):
+        for pos, j in enumerate(pidx):
+            rest = pidx[:pos] + pidx[pos + 1:]
+            for q, qidx in enumerate(BASIS[l]):
+                srt = _sort_with_sign(rest + qidx)
+                if srt is not None:
+                    key, sign = srt
+                    out.append((j - 1, p, q, _POSITION[len(key)][key], -sign if pos % 2 else sign))
+    return tuple(np.array(out, dtype=np.intp).reshape(-1, 5).T)
 
 
 class KForm:
@@ -138,6 +184,25 @@ class KForm:
     def max_abs(self) -> float:
         """Largest absolute coefficient (0.0 for the zero form)."""
         return max((abs(c) for c in self.coeffs.values()), default=0)
+
+    def nonzero(self, dtype=object):
+        """BASIS[degree] positions of the stored coefficients, and their values."""
+        return ([_POSITION[self.degree][key] for key in self.coeffs],
+                np.array(list(self.coeffs.values()), dtype=dtype))
+
+    def to_vector(self, dtype=object) -> np.ndarray:
+        """Coefficients in BASIS[degree] order."""
+        vec = np.zeros(len(BASIS[self.degree]), dtype)
+        pos, vals = self.nonzero(dtype)
+        vec[pos] = vals
+        return vec
+
+    @staticmethod
+    def from_vector(degree: int, vec: np.ndarray) -> "KForm":
+        """The form with coefficients vec in BASIS[degree] order."""
+        res = KForm.zero(degree)
+        res.coeffs = {key: c for key, c in zip(BASIS[degree], vec.tolist()) if c != 0}
+        return res
 
     def to_float(self) -> "KForm":
         res = KForm.zero(self.degree)
@@ -254,10 +319,30 @@ class CEOperator:
             if im.degree != 2:
                 raise ValueError("each image of d must have degree 2")
         object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "_d_matrices", {})
 
     def d1(self, i: int) -> KForm:
         """Image of e^i, i in 1..6."""
         return self.images[i - 1]
+
+    def d_matrix(self, k: int) -> np.ndarray:
+        """d_k: Lambda^k -> Lambda^(k+1) in BASIS order, built on first use.
+
+        float64 when every image coefficient is a float, otherwise an
+        object array whose entries are sums of image coefficients.
+        """
+        m = self._d_matrices.get(k)
+        if m is None:
+            floats = all(isinstance(c, float) for im in self.images for c in im.coeffs.values())
+            dtype = float if floats else object
+            images = np.stack([im.to_vector(dtype) for im in self.images], axis=1)
+            # d e^P = sum_j (e_j -| e^P) ^ de^j, the images being 2-forms
+            j, p, q, row, sign = _contract_wedge(k, 2)
+            keep = (images != 0)[q, j]
+            m = np.zeros(len(BASIS[k + 1]) * len(BASIS[k]), dtype)
+            np.add.at(m, row[keep] * len(BASIS[k]) + p[keep], sign[keep] * images[q[keep], j[keep]])
+            m = self._d_matrices[k] = m.reshape(len(BASIS[k + 1]), len(BASIS[k]))
+        return m
 
     def to_float(self) -> "CEOperator":
         return CEOperator(tuple(im.to_float() for im in self.images))
@@ -274,36 +359,42 @@ def apply_d(d: CEOperator, a: KForm) -> KForm:
     """Extend d from degree one to a as an anti-derivation.
 
     d(e^{j1...jk}) = sum_p (-1)^(p-1) de^{jp} ^ e^{j1...^jp...jk};
-    degree-0 constants map to 0.
+    degree-0 constants map to 0.  One product of d_k with the nonzero
+    coefficients of a.
     """
-    if a.degree == 0:
-        return KForm.zero(1)
     if a.degree == DIM:
         return KForm.zero(DIM)  # no forms above the top degree
-    out = KForm.zero(a.degree + 1)
-    for idx, c in a.coeffs.items():
-        for p, jp in enumerate(idx):
-            rest = idx[:p] + idx[p + 1:]
-            sign = -1 if p % 2 else 1
-            term = wedge(d.d1(jp), KForm(len(rest), {rest: sign * c}))
-            out = out + term
-    return out
+    m = d.d_matrix(a.degree)
+    cols, vals = a.nonzero(m.dtype)
+    block = m[:, cols]
+    if m.dtype == object:
+        # exact: skip the structural zeros of d_k, so that 0 * x does not
+        # turn an int sum into a Fraction or an exact sum into a float
+        terms = np.zeros(block.shape, object)
+        np.multiply(block, vals, out=terms, where=block != 0)
+        return KForm.from_vector(a.degree + 1, terms.sum(axis=1))
+    return KForm.from_vector(a.degree + 1, block @ vals)
 
 
 def pullback(m, a: KForm) -> KForm:
     """Pullback of a by the endomorphism with matrix m (m[i][j] = (m e_j)_i).
 
     (m^* a)(X1, ..., Xk) = a(m X1, ..., m Xk); on the coframe this is the
-    substitution e^i -> sum_j m[i][j] e^j.
+    substitution e^i -> sum_j m[i][j] e^j, so the coefficients are
+    multiplied by the matrix of k x k minors, (m^* a)_J = sum_I a_I det m[I, J].
+    Only the rows I where a has a coefficient are formed.  Runs in float64
+    for a float matrix, on the exact scalars otherwise.
     """
-    images = [KForm(1, {(j + 1,): m[i][j] for j in range(DIM)}) for i in range(DIM)]
-    out = KForm.zero(a.degree)
-    for idx, c in a.coeffs.items():
-        term = KForm(0, {(): c})
-        for i in idx:
-            term = wedge(term, images[i - 1])
-        out = out + term
-    return out
+    k = a.degree
+    if k == 0:
+        return a  # constants pull back to themselves
+    m = np.asarray(m)
+    if m.dtype.kind != "f":
+        m = m.astype(object)
+    flat, sign = _minor_table(k)
+    rows, vals = a.nonzero(m.dtype)
+    minors = sign @ m.reshape(-1)[flat[:, rows]].prod(axis=0)
+    return KForm.from_vector(k, vals @ minors)
 
 
 def d_squared_residual(d: CEOperator) -> Scalar:

@@ -192,9 +192,18 @@ def time_integral(q0: BinaryForm, p: BinaryForm, s_from: float, s_to: float) -> 
     removed by a power substitution whose exponent comes from the root
     multiplicity of the discriminant polynomial.
     """
+    return _time_integral(line_discriminant_poly(q0, p), s_from, s_to)
+
+
+def _time_integral(poly, s_from: float, s_to: float) -> float:
+    """time_integral on the line whose discriminant polynomial is poly.
+
+    The integrand runs on a float copy of poly; the polynomial itself
+    decides which ends are singular.
+    """
     if s_from == s_to:
         return 0.0
-    poly = line_discriminant_poly(q0, p)
+    fpoly = [float(c) for c in poly]
     sign = 1.0
     a, b = s_from, s_to
     if a > b:
@@ -202,7 +211,7 @@ def time_integral(q0: BinaryForm, p: BinaryForm, s_from: float, s_to: float) -> 
         sign = -1.0
 
     def integrand(s):
-        val = float(_poly_eval(poly, s))
+        val = _poly_eval(fpoly, s)
         if val <= 0:
             return 0.0
         return (0.75 * val) ** (-1.0 / 6.0)
@@ -258,7 +267,7 @@ def advance(state: FlowState, ds: float):
     if roots:
         s_target = min(roots, key=abs)
         clamped = True
-    dt = time_integral(state.q, state.p, 0.0, s_target)
+    dt = _time_integral(poly, 0.0, s_target)
     q_new = line_cubic(state.q, state.p, s_target)
     return (
         FlowState(q=q_new, p=state.p, s=state.s + s_target, t=state.t + dt,
@@ -356,6 +365,7 @@ def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
     discriminant.  Frames are chosen on the continuous det > 0 branch.
     """
     traj = Trajectory(p=p, q_start=q_start)
+    poly = line_discriminant_poly(q_start, p)
     prev_g = None
     prev_s = None
     t = 0.0
@@ -365,7 +375,7 @@ def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
         if disc <= 0:
             raise ValueError(f"discriminant not positive at s={s}")
         if prev_s is not None:
-            t += time_integral(q_start, p, prev_s, s)
+            t += _time_integral(poly, prev_s, s)
         g = _nearest_frame(_frame_candidates(q), prev_g, want_positive_det=True)
         traj.states.append(FlowState(q=q, p=p, s=float(s), t=t, detg=clock_detg(q)))
         traj.frames.append(g)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .binaryform import BinaryForm
-from .exterior import DIM, KForm, interior, pullback, wedge, wedge_all
+from .exterior import BASIS, DIM, KForm, _contract_wedge, pullback, wedge, wedge_all
 
 F = Fraction
 
@@ -68,19 +68,29 @@ def standard_forms() -> InvariantFrameForms:
 # Hitchin's operator for 3-forms in six dimensions
 # ---------------------------------------------------------------------------
 
+def _k_tensor() -> np.ndarray:
+    """T[i, j, p, q] = (-1)^i times the coefficient of e^{1..^i..6} in
+    (e_j -| e^P) ^ e^Q, for 0-based i, j and e^P, e^Q in BASIS[3].
+
+    K(rho) = T rho rho is then Hitchin's K for the volume e^123456.
+    """
+    j, p, q, row, sign = _contract_wedge(3, 3)
+    i = DIM - 1 - row  # BASIS[5][row] leaves out index i + 1
+    t = np.zeros((DIM, DIM, len(BASIS[3]), len(BASIS[3])))
+    t[i, j, p, q] = (-1) ** i * sign
+    return t
+
+
+_K_TENSOR = _k_tensor()
+
+
 def _k_matrix(rho: KForm, vol_coeff: float) -> np.ndarray:
     """Matrix of K(v) = A((v -| rho) ^ rho) w.r.t. the volume vol_coeff*e^123456.
 
     A identifies a 5-form with a vector: X -| vol = xi.
     """
-    k = np.zeros((6, 6))
-    for j in range(1, DIM + 1):
-        xi = wedge(interior(j, rho), rho)
-        for i in range(1, DIM + 1):
-            comp = tuple(n for n in range(1, DIM + 1) if n != i)
-            sign = (-1) ** (i - 1)
-            k[i - 1, j - 1] = sign * float(xi.coeffs.get(comp, 0)) / vol_coeff
-    return k
+    v = rho.to_vector(float)
+    return _K_TENSOR @ v @ v / vol_coeff
 
 
 def hitchin_invariant(rho: KForm, vol_orientation: KForm | None = None) -> float:

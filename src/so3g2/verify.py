@@ -56,6 +56,7 @@ from .flow import (
     time_integral,
     _poly_deriv,
     _poly_eval,
+    _time_integral,
 )
 from .g2 import (
     assemble_g2,
@@ -416,8 +417,9 @@ def suite_flow_clock(seed: int = 6, n_samples: int = 20) -> SuiteResult:
         d = structure_constants(ModelPoint.make(x, y))
         p_read = flow_torsion_cubic(d)
         orc = direct_ode_oracle(d, GL2.identity(), (0.0, 0.15), n_samples=7)
+        poly = line_discriminant_poly(Q0.to_float(), p_read)
         for i, t in enumerate(orc.ts):
-            f = lambda s: time_integral(Q0.to_float(), p_read, 0.0, s) - t
+            f = lambda s: _time_integral(poly, 0.0, s) - t
             s_t = brentq(f, -0.2, 0.9, xtol=1e-13)
             q_closed = line_cubic(Q0.to_float(), p_read, s_t)
             worst_oracle = max(worst_oracle, max(

@@ -254,3 +254,16 @@ def test_json_round_trip():
     assert BinaryForm.from_json(f.to_json()) == f
     g = GL2(F(1, 2), F(0), F(3), F(-2))
     assert GL2.from_json(g.to_json()) == g
+
+
+def test_symbolic_clock_identity():
+    # criterion 7: Delta(q(g)) = (4/3) det(g)^6 as a polynomial identity,
+    # which is the clock (det g)^6 = (3/4) Delta along the flow
+    sp = pytest.importorskip("sympy")
+    a, b, c, d = sp.symbols("a b c d")
+    q = q_map(GL2(a, b, c, d))
+    want = sp.Rational(4, 3) * (a * d - b * c) ** 6
+    assert sp.expand(discriminant(q) - want) == 0
+    # negative control: one perturbed coefficient breaks the identity
+    bad = BinaryForm(3, [q.coeffs[0], q.coeffs[1] + a * b ** 2, q.coeffs[2], q.coeffs[3]])
+    assert sp.expand(discriminant(bad) - want) != 0

@@ -1,14 +1,18 @@
+import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from so3g2.binaryform import BinaryForm
-from so3g2.exterior import KForm, wedge, wedge_all
+from so3g2.exterior import BASIS, DIM, KForm, interior, wedge, wedge_all
 from so3g2.stableform import (
     GAMMA,
     GAMMA_HAT,
+    REFERENCE_VOLUME,
     SIGMA,
+    _k_matrix,
     cubic_to_3form,
     hitchin_dual,
     hitchin_invariant,
@@ -154,3 +158,85 @@ def test_hitchin_invariant_orientation_scale():
     lam_unit = hitchin_invariant(GAMMA, KForm(6, {(1, 2, 3, 4, 5, 6): 1.0}))
     # invariant scales inverse-quadratically with the reference volume
     assert abs(lam_unit - lam_ref * 9.0) < 1e-12
+
+
+# -- Hitchin's K as a fixed tensor against the wedge/interior loop ----------
+
+def ref_k_matrix(rho, vol_coeff):
+    """_k_matrix as the package computed it before K became T rho rho."""
+    k = np.zeros((6, 6))
+    for j in range(1, DIM + 1):
+        xi = wedge(interior(j, rho), rho)
+        for i in range(1, DIM + 1):
+            comp = tuple(n for n in range(1, DIM + 1) if n != i)
+            sign = (-1) ** (i - 1)
+            k[i - 1, j - 1] = sign * float(xi.coeffs.get(comp, 0)) / vol_coeff
+    return k
+
+
+def ref_hitchin_dual(rho):
+    """hitchin_dual on the loop kernels, with the same stability test."""
+    from test_exterior import ref_pullback
+
+    rho_f = rho.to_float()
+    k = ref_k_matrix(rho_f, float(REFERENCE_VOLUME.coeffs[tuple(range(1, DIM + 1))]))
+    lam = float(np.trace(k @ k)) / 6.0
+    scale = max(1.0, rho_f.max_abs()) ** 4
+    if lam >= -1e-14 * scale:
+        raise ValueError("not stable of complex type")
+    return ref_pullback(k / math.sqrt(-lam), rho_f)
+
+
+def _random_3form(rng, kind, density=0.6):
+    coeffs = {}
+    for idx in BASIS[3]:
+        if rng.random() < density:
+            v = rng.randint(-4, 4)
+            if kind == "mixed":
+                kind_here = rng.choice(("int", "frac", "float"))
+            else:
+                kind_here = kind
+            coeffs[idx] = {"int": v, "frac": F(v, rng.randint(1, 5)),
+                           "float": rng.uniform(-3.0, 3.0)}[kind_here]
+    return KForm(3, coeffs)
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", "float", "mixed"])
+def test_k_matrix_matches_loop_reference(kind):
+    rng = random.Random(f"k matrix {kind}")
+    for _ in range(100):
+        rho = _random_3form(rng, kind)
+        vol = rng.choice([1.0, -3.0, 0.5])
+        want = ref_k_matrix(rho.to_float(), vol)
+        got = _k_matrix(rho.to_float(), vol)
+        scale = max(1.0, float(rho.max_abs())) ** 2 / abs(vol)
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", "float", "mixed"])
+def test_hitchin_dual_matches_loop_reference(kind):
+    # perturbations of gamma stay stable of complex type; wider draws
+    # also reach the real type, where both must refuse
+    rng = random.Random(f"hitchin dual {kind}")
+    refused = 0
+    for n in range(200):
+        rho = GAMMA + (F(1, 2) if n % 2 else F(3, 1)) * _random_3form(rng, kind, 0.3)
+        try:
+            want = ref_hitchin_dual(rho)
+        except ValueError:
+            refused += 1
+            with pytest.raises(ValueError, match="not stable"):
+                hitchin_dual(rho)
+            continue
+        got = hitchin_dual(rho)
+        assert all(type(v) is float for v in got.coeffs.values())
+        k = ref_k_matrix(rho.to_float(), -3.0)
+        lam = float(np.trace(k @ k)) / 6.0
+        size = max(1.0, float(rho.max_abs())) ** 4
+        assert abs(hitchin_invariant(rho) - lam) <= 1e-14 * size
+        # rho_hat = K rho / sqrt(-lambda): a rounding of K moves lambda by
+        # about eps |rho|^4, so near the stable boundary the dual is
+        # ill-conditioned by |rho|^4 / |lambda|
+        cond = size / abs(lam)
+        assert (got - want).max_abs() <= 1e-14 * cond * max(1.0, want.max_abs())
+    assert 0 < refused < 200
