@@ -58,22 +58,8 @@ def mat_det(m):
     n = len(a)
     if n == 0:
         return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                sign = 0  # singular
-                break
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, row_k = a[k][k], a[k]
-        for r in range(k + 1, n):
-            row, f = a[r], a[r][k]
-            for c in range(k + 1, n):
-                row[c] = (pivot * row[c] - f * row_k[c]) // prev
-        prev = pivot
-    det = sign * a[n - 1][n - 1]
+    rank, sign = _bareiss(a)
+    det = sign * a[n - 1][n - 1] if rank == n else 0
     if det and scale != 1:
         det = Fraction(det, scale)
     return float(det) if inexact else det
@@ -82,15 +68,27 @@ def mat_det(m):
 def mat_rank(m):
     """Rank by Bareiss row reduction; any row count, any column count."""
     a, _, _ = _integer_copy(m)
+    return _bareiss(a)[0]
+
+
+def _bareiss(a):
+    """Fraction-free row reduction of the Python-int matrix a, in place.
+
+    Returns (rank, sign), sign the parity of the row swaps.  On a square
+    matrix of full rank each pivot is a leading principal minor of the
+    row-swapped matrix, so the last pivot a[-1][-1] is sign * det.
+    """
     rows, cols = len(a), (len(a[0]) if a else 0)
-    rank, prev = 0, 1
+    rank, sign, prev = 0, 1, 1
     for col in range(cols):
         if rank == rows:
             break
         piv = next((r for r in range(rank, rows) if a[r][col] != 0), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
         pivot, row_k = a[rank][col], a[rank]
         for r in range(rank + 1, rows):
             row, f = a[r], a[r][col]
@@ -98,7 +96,7 @@ def mat_rank(m):
                 row[c] = (pivot * row[c] - f * row_k[c]) // prev
         prev = pivot
         rank += 1
-    return rank
+    return rank, sign
 
 
 def nullspace(rows):

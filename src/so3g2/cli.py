@@ -34,7 +34,6 @@ from .flow import (
     line_discriminant_poly,
     _poly_real_roots,
     clock_detg,
-    flow_torsion_cubic,
     plane_is_invariant,
     _poly_eval,
     _time_integral,
@@ -176,23 +175,23 @@ def cmd_flow(args) -> int:
     if direction == 0:
         probe = 1e-6 * max(1.0, args.s_max)
         direction = 1 if float(_poly_eval(poly, probe)) > 0 else -1
-    s_hi = args.s_max
-    roots = [r for r in _poly_real_roots(poly) if 1e-12 < r * direction <= s_hi]
-    if roots:
-        s_hi = min(abs(r) for r in roots)
-    svals = [direction * s_hi * (i + 1) / args.steps for i in range(args.steps)]
+    roots = _poly_real_roots(poly)
+    hits = [r for r, _ in roots if 1e-12 < r * direction <= args.s_max]
+    # a boundary root is passed as the end itself, so the clock sees its multiplicity
+    s_end = min(hits, key=abs) if hits else direction * args.s_max
+    svals = [s_end * (i + 1) / args.steps for i in range(args.steps - 1)] + [s_end]
     rows = []
     t = 0.0
     prev = 0.0
     for s in svals:
         q = line_cubic(q0, p, s)
-        t += _time_integral(poly, prev, s)
+        t += _time_integral(poly, roots, prev, s)
         prev = s
         rows.append([s, t] + [float(v) for v in q.coeffs]
                     + [clock_detg(q), float(discriminant(q))])
     endpoint_report = {}
-    if roots:
-        q_end = line_cubic(q0, p, direction * s_hi)
+    if hits:
+        q_end = line_cubic(q0, p, s_end)
         try:
             info = endpoint_classify(p.to_float(), q_end.to_float())
             endpoint_report = {
@@ -211,55 +210,9 @@ def cmd_flow(args) -> int:
     }
     if args.g2_samples:
         traj = integrate_line(p.to_float(), q0.to_float(), svals)
-        d = _algebra_for_direction(p)
-        if d is None:
-            print("note: no model algebra supplied for the torsion direction; "
-                  "g2 samples skipped", file=sys.stderr)
-        else:
-            samples = assemble_g2(traj)
-            data["g2_samples"] = [s.to_json() for s in samples]
+        data["g2_samples"] = [s.to_json() for s in assemble_g2(traj)]
     _emit(data, args.output, args.format)
     return 0
-
-
-def _algebra_for_direction(p: BinaryForm):
-    """A model algebra whose d(sigma)-reading equals p, when p factors
-    with rational coefficients; the product convention is opposite in
-    sign to the reading."""
-    neg = BinaryForm(3, [-float(v) for v in p.coeffs])
-    # try linear factors with small rational roots
-    for a, b in [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, -2), (2, -1)]:
-        x = BinaryForm(1, [float(a), float(b)])
-        # divide neg by x if possible: neg = x * y
-        y = _divide_cubic(neg, x)
-        if y is not None:
-            m = ModelPoint(x, y)
-            d = structure_constants(m)
-            got = flow_torsion_cubic(d)
-            if max(abs(float(u) - float(v)) for u, v in zip(got.coeffs, p.coeffs)) < 1e-9:
-                return d
-    return None
-
-
-def _divide_cubic(cubic: BinaryForm, lin: BinaryForm):
-    a, b = (float(v) for v in lin.coeffs)
-    c = [float(v) for v in cubic.coeffs]
-    # synthetic division of c by (a u1 + b u2)
-    if abs(a) > abs(b):
-        y1 = c[0] / a
-        y2 = (c[1] - b * y1) / a
-        y3 = (c[2] - b * y2) / a
-        if abs(c[3] - b * y3) > 1e-10 * max(1.0, cubic.norm()):
-            return None
-        return BinaryForm(2, [y1, y2, y3])
-    if b == 0:
-        return None
-    y3 = c[3] / b
-    y2 = (c[2] - a * y3) / b
-    y1 = (c[1] - a * y2) / b
-    if abs(c[0] - a * y1) > 1e-10 * max(1.0, cubic.norm()):
-        return None
-    return BinaryForm(2, [y1, y2, y3])
 
 
 def cmd_bs_metric(args) -> int:

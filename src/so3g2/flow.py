@@ -14,7 +14,6 @@ on the invariant forms exists for cross-validation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -114,142 +113,164 @@ def _poly_deriv(coeffs):
     return [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def _poly_real_roots(coeffs) -> list[float]:
-    arr = np.array([float(c) for c in coeffs])
-    scale = np.max(np.abs(arr)) if np.max(np.abs(arr)) > 0 else 1.0
-    nz = np.nonzero(np.abs(arr) > 1e-14 * scale)[0]
-    if len(nz) == 0:
+def _strip(coeffs):
+    """coeffs without leading zeros; [] for the zero polynomial."""
+    nz = next((i for i, c in enumerate(coeffs) if c != 0), len(coeffs))
+    return coeffs[nz:]
+
+
+def _poly_divmod(num, den):
+    """Quotient and remainder of exact polynomial division (den has a
+    nonzero leading coefficient); remainder without leading zeros."""
+    num = list(num)
+    quot = []
+    for i in range(len(num) - len(den) + 1):
+        q = num[i] / den[0]
+        quot.append(q)
+        for j, d in enumerate(den):
+            num[i + j] -= q * d
+    return quot, _strip(num[len(quot):])
+
+
+def _poly_gcd(a, b):
+    """Monic greatest common divisor by Euclid's algorithm."""
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[0] for c in a]
+
+
+def _square_free_split(coeffs):
+    """Yun's square-free decomposition: [(f_k, k), ...] with the polynomial
+    equal to a constant times the product of the f_k^k.
+
+    The f_k are monic, square-free, pairwise coprime and nonconstant, and
+    every root of f_k is a root of multiplicity exactly k.  The arithmetic
+    runs on the exact Fraction values of the coefficients, so a float
+    polynomial is split as the rational polynomial it represents.
+    """
+    f = _strip([Fraction(c) for c in coeffs])
+    if len(f) < 2:
         return []
-    arr = arr[nz[0]:]
-    if len(arr) <= 1:
-        return []
-    roots = np.roots(arr)
-    out = [_polish_root(list(arr), float(r.real))
-           for r in roots if abs(r.imag) <= 1e-6 * (1 + abs(r.real))]
+    df = _poly_deriv(f)
+    a = _poly_gcd(f, df)
+    b, c = _poly_divmod(f, a)[0], _poly_divmod(df, a)[0]
+    out = []
+    k = 1
+    while len(b) > 1:
+        # c and b' have the same degree, one below that of b
+        d = _strip([u - v for u, v in zip(c, _poly_deriv(b))])
+        a = _poly_gcd(b, d)
+        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+        if len(a) > 1:
+            out.append((a, k))
+        k += 1
+    return out
+
+
+def _poly_real_roots(coeffs) -> list[tuple[float, int]]:
+    """Sorted (root, multiplicity) pairs of the real roots.
+
+    Leading coefficients below 1e-14 of the largest are dropped as
+    rounding residue of a degree drop.  Multiplicities come from the
+    exact square-free split; each root is then polished by Newton's
+    method on its own factor, where it is simple.
+    """
+    scale = max((abs(c) for c in coeffs), default=0)
+    trimmed = list(coeffs)
+    while trimmed and abs(trimmed[0]) <= 1e-14 * scale:
+        trimmed.pop(0)
+    out = []
+    for factor, k in _square_free_split(trimmed):
+        work = [float(c) for c in factor]
+        for r in np.roots(work):
+            if abs(r.imag) <= 1e-6 * (1 + abs(r.real)):
+                out.append((_newton(work, float(r.real)), k))
     return sorted(out)
 
 
-def _polish_root(coeffs, r0: float) -> float:
-    """Newton-polish a real root; multiple roots are refined on the
-    derivative of matching order, where they are simple.
-
-    The multiplicity estimate improves as the point does, so detection
-    and polishing are iterated: a fourfold root seen from a crude seed
-    first looks triple, converges part way, and is then recognized.
-    The loose estimate can also call a simple root multiple; Newton on
-    the derivative then walks to a critical point, where |p| grows.  A
-    multiple polish is kept only when |p| did not grow; otherwise r0 is
-    polished as a simple root.
-    """
-    r = r0
-    k_prev = 0
-    for _ in range(4):
-        k = max(1, _root_multiplicity(coeffs, r, tol=1e-4))
-        if k == k_prev:
-            break
-        k_prev = k
-        r = _newton_on_derivative(coeffs, k - 1, r)
-    if k_prev > 1 and abs(_poly_eval(coeffs, r)) > abs(_poly_eval(coeffs, r0)):
-        r = _newton_on_derivative(coeffs, 0, r0)
-    return r
-
-
-def _newton_on_derivative(coeffs, order: int, r: float) -> float:
-    """Newton iteration from r on the order-th derivative of the polynomial."""
-    work = [float(c) for c in coeffs]
-    for _ in range(order):
-        work = _poly_deriv(work)
-    der = _poly_deriv(work)
+def _newton(coeffs, r: float) -> float:
+    """Newton iteration from r on a polynomial with a simple root near r."""
+    der = _poly_deriv(coeffs)
     for _ in range(60):
-        f = _poly_eval(work, r)
         fp = _poly_eval(der, r)
         if fp == 0:
             break
-        step = f / fp
+        step = _poly_eval(coeffs, r) / fp
         r -= step
-        if abs(step) < 1e-16 * max(1.0, abs(r)):
+        if abs(step) <= 1e-16 * max(1.0, abs(r)):
             break
     return r
-
-
-def _root_multiplicity(coeffs, s0, tol=1e-9) -> int:
-    arr = [float(c) for c in coeffs]
-    scale = max(abs(v) for v in arr) or 1.0
-    mult = 0
-    while arr:
-        if abs(_poly_eval(arr, s0)) > tol * scale * max(1.0, abs(s0)) ** (len(arr) - 1):
-            break
-        mult += 1
-        arr = _poly_deriv(arr)
-    return mult
 
 
 def time_integral(q0: BinaryForm, p: BinaryForm, s_from: float, s_to: float) -> float:
     """Physical time across [s_from, s_to]: integral of (3/4 Delta)^(-1/6) ds.
 
-    Delta must be positive in the interior; integrable boundary
-    singularities (Delta vanishing to finite order at an endpoint) are
-    removed by a power substitution whose exponent comes from the root
-    multiplicity of the discriminant polynomial.
+    Delta must be positive in the interior.  An end that is a root of the
+    discriminant polynomial (compared exactly with the roots it has) is an
+    integrable singularity of known order, removed by a power substitution.
     """
-    return _time_integral(line_discriminant_poly(q0, p), s_from, s_to)
+    poly = line_discriminant_poly(q0, p)
+    return _time_integral(poly, _poly_real_roots(poly), s_from, s_to)
 
 
-def _time_integral(poly, s_from: float, s_to: float) -> float:
-    """time_integral on the line whose discriminant polynomial is poly.
-
-    The integrand runs on a float copy of poly; the polynomial itself
-    decides which ends are singular.
-    """
+def _time_integral(poly, roots, s_from: float, s_to: float) -> float:
+    """time_integral on the line whose discriminant polynomial is poly,
+    with roots = _poly_real_roots(poly); an end equal to one of the roots
+    takes that root's multiplicity."""
     if s_from == s_to:
         return 0.0
-    fpoly = [float(c) for c in poly]
-    sign = 1.0
-    a, b = s_from, s_to
-    if a > b:
-        a, b = b, a
-        sign = -1.0
-
-    def integrand(s):
-        val = _poly_eval(fpoly, s)
-        if val <= 0:
-            return 0.0
-        return (0.75 * val) ** (-1.0 / 6.0)
-
+    mult = dict(roots)
+    a, b = sorted((s_from, s_to))
     mid = 0.5 * (a + b)
-    total = 0.0
-    total += _half_integral(integrand, poly, a, mid, left_end=True)
-    total += _half_integral(integrand, poly, mid, b, left_end=False)
-    return sign * total
+    total = (_half_integral(poly, a, mid, mult.get(a, 0))
+             + _half_integral(poly, b, mid, mult.get(b, 0)))
+    return total if s_from < s_to else -total
 
 
-def _half_integral(integrand, poly, a, b, left_end: bool) -> float:
-    """Integrate over [a, b] where only the outer endpoint may be singular."""
-    end = a if left_end else b
-    scale = max(abs(float(c)) for c in poly) or 1.0
-    width = abs(b - a)
-    singular = abs(float(_poly_eval(poly, end))) < 1e-9 * scale * max(1.0, width) ** 4
-    if not singular:
-        val, _ = _sciint.quad(integrand, a, b, limit=200, epsabs=1e-13, epsrel=1e-12)
-        return val
-    k = _root_multiplicity(poly, end)
-    k = min(max(k, 1), 5)
+def _half_integral(poly, end, other, k: int) -> float:
+    """Integral of (3/4 Delta)^(-1/6) between end, a root of multiplicity k
+    (0 if none), and other, where Delta is positive.
+
+    In u = |s - end| the polynomial is u^k h(u): the Taylor shift to end
+    runs on exact values and its k lowest coefficients, which vanish at
+    an exact root, are dropped.  With u = v^e, e = 6/(6 - k), the
+    integrand becomes e (3/4 h(v^e))^(-1/6), which is bounded.
+    """
+    width = abs(other - end)
+    shifted = _taylor_shift(poly, end, 1 if other > end else -1)
+    h = shifted[:len(shifted) - k]
     expo = 6.0 / (6.0 - k)
 
-    if left_end:
-        def sub(u):
-            return integrand(a + u ** expo) * expo * u ** (expo - 1.0)
-        upper = width ** (1.0 / expo)
-    else:
-        def sub(u):
-            return integrand(b - u ** expo) * expo * u ** (expo - 1.0)
-        upper = width ** (1.0 / expo)
-    # the substitution removes the endpoint singularity; quad may still
-    # warn about residual kinks far below our tolerances
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sciint.IntegrationWarning)
-        val, _ = _sciint.quad(sub, 0.0, upper, limit=300, epsabs=1e-13, epsrel=1e-12)
+    def integrand(v):
+        val = _poly_eval(h, v ** expo)
+        if val <= 0:
+            return 0.0
+        return expo * (0.75 * val) ** (-1.0 / 6.0)
+
+    val, _ = _sciint.quad(integrand, 0.0, width ** (1.0 / expo), limit=300,
+                          epsabs=1e-13, epsrel=1e-12)
     return val
+
+
+def _taylor_shift(poly, end, sign: int) -> list[float]:
+    """Coefficients, highest degree first, of poly(end + sign * u) in u.
+
+    The shift is exact: with end = n/d and the coefficients over a common
+    denominator it runs on Python ints, and each coefficient is rounded
+    once at the end.
+    """
+    ratios = [c.as_integer_ratio() for c in poly]
+    n, d = end.as_integer_ratio()
+    den = math.lcm(*(q for _, q in ratios))
+    # den d^deg poly(y / d) has integer coefficients
+    work = [p * (den // q) * d ** i for i, (p, q) in enumerate(ratios)]
+    scale = den * d ** (len(work) - 1)
+    out = []
+    while work:
+        for i in range(1, len(work)):  # Horner at y = n, in place
+            work[i] += n * work[i - 1]
+        out.append(work.pop() * (sign * d) ** len(out) / scale)
+    return out[::-1]
 
 
 def advance(state: FlowState, ds: float):
@@ -260,14 +281,14 @@ def advance(state: FlowState, ds: float):
     True.
     """
     poly = line_discriminant_poly(state.q, state.p)
+    roots = _poly_real_roots(poly)
     s_target = ds
-    roots = [r for r in _poly_real_roots(poly)
-             if (0 < r <= ds if ds > 0 else ds <= r < 0)]
+    hits = [r for r, _ in roots if (0 < r <= ds if ds > 0 else ds <= r < 0)]
     clamped = False
-    if roots:
-        s_target = min(roots, key=abs)
+    if hits:
+        s_target = min(hits, key=abs)
         clamped = True
-    dt = _time_integral(poly, 0.0, s_target)
+    dt = _time_integral(poly, roots, 0.0, s_target)
     q_new = line_cubic(state.q, state.p, s_target)
     return (
         FlowState(q=q_new, p=state.p, s=state.s + s_target, t=state.t + dt,
@@ -366,6 +387,7 @@ def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
     """
     traj = Trajectory(p=p, q_start=q_start)
     poly = line_discriminant_poly(q_start, p)
+    roots = _poly_real_roots(poly)
     prev_g = None
     prev_s = None
     t = 0.0
@@ -375,7 +397,7 @@ def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
         if disc <= 0:
             raise ValueError(f"discriminant not positive at s={s}")
         if prev_s is not None:
-            t += _time_integral(poly, prev_s, s)
+            t += _time_integral(poly, roots, prev_s, s)
         g = _nearest_frame(_frame_candidates(q), prev_g, want_positive_det=True)
         traj.states.append(FlowState(q=q, p=p, s=float(s), t=t, detg=clock_detg(q)))
         traj.frames.append(g)
@@ -584,7 +606,7 @@ def no_complete_line_witness(p: BinaryForm) -> float:
     trimmed = poly[:]
     while trimmed and abs(trimmed[0]) <= 1e-13 * scale:
         trimmed.pop(0)
-    roots = _poly_real_roots(poly)
+    roots = [r for r, _ in _poly_real_roots(poly)]
     if trimmed and trimmed[0] < 0:
         # eventually negative: step past the largest root
         edge = max(roots) + 1.0 if roots else 1.0

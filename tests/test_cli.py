@@ -7,7 +7,10 @@ import re
 
 import pytest
 
+from so3g2.binaryform import BinaryForm
 from so3g2.cli import main, parse_scalar
+from so3g2.flow import integrate_line
+from so3g2.g2 import assemble_g2
 from so3g2.verify import ALL_SUITES, SAMPLED_SUITES
 from fractions import Fraction
 
@@ -98,6 +101,27 @@ def test_flow_bs_trajectory_with_endpoint(capsys):
                         "--s-max", "3", "--steps", "6")
     data = json.loads(out)
     assert data["endpoint"]["kind"] == "TripleRootDividingP"
+
+
+def test_flow_g2_samples_for_a_direction_without_rational_factor(capsys):
+    # p = u1^3 + u1 u2^2 + 3 u2^3 has one real linear factor, irrational
+    with pytest.warns(UserWarning, match="truncated"):
+        code, out = run_cli(capsys, "flow", "--p", "1,0,1,3", "--q0", "1/3,0,-1,0",
+                            "--g2-samples")
+    assert code == 0
+    assert len(json.loads(out)["g2_samples"]) > 0
+
+
+def test_flow_g2_samples_are_those_of_the_sampled_line(capsys):
+    argv = ["flow", "--p", "1,0,-1,0", "--q0", "1/3,0,-1,0", "--s-max", "0.5", "--steps", "5"]
+    _, plain = run_cli(capsys, *argv)
+    _, with_g2 = run_cli(capsys, *argv, "--g2-samples")
+    data = json.loads(with_g2)
+    samples = data.pop("g2_samples")
+    assert data == json.loads(plain)
+    traj = integrate_line(BinaryForm(3, [1.0, 0.0, -1.0, 0.0]), BinaryForm(3, [1 / 3, 0.0, -1.0, 0.0]),
+                          [row[0] for row in data["rows"]])
+    assert samples == json.loads(json.dumps([s.to_json() for s in assemble_g2(traj)]))
 
 
 def test_flow_rejects_bad_initial_data(capsys):

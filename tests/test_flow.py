@@ -1,11 +1,12 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from so3g2.binaryform import BinaryForm, GL2, act, discriminant
@@ -35,6 +36,10 @@ from so3g2.flow import (
     plane_is_invariant,
     planes_equal,
     time_integral,
+    _poly_deriv,
+    _poly_gcd,
+    _poly_real_roots,
+    _square_free_split,
 )
 from so3g2.variety import ModelPoint, structure_constants, torsion_of
 
@@ -407,3 +412,173 @@ def test_flow_cli_stops_at_a_simple_boundary_root(capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert min(row[7] for row in rows) >= -1e-10
     assert abs(abs(rows[-1][0]) - 3.9695876) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# exact root multiplicities and the clock at a multiple root
+# ---------------------------------------------------------------------------
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _random_split_input(rng):
+    """A constant times a random product of linear and quadratic factors,
+    some repeated; degree 3 or 4."""
+    poly = [F(rng.randint(1, 5), rng.randint(1, 4)) * rng.choice((1, -1))]
+    while len(poly) < 4:
+        if rng.random() < 0.3:
+            factor = [1, rng.randint(-3, 3), rng.randint(1, 4)]  # may be irreducible
+        else:
+            factor = [rng.randint(1, 3), F(rng.randint(-5, 5), rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 4)):
+            if len(poly) + len(factor) - 1 <= 5:
+                poly = _poly_mul(poly, factor)
+    return poly
+
+
+SPLIT_EXAMPLES = [
+    ([3, 1, -5, -1, 2], [([1, F(-5, 3), F(2, 3)], 1), ([1, 1], 2)]),
+    ([1, -4, 6, -4, 1], [([1, -1], 4)]),
+    ([0, 0, 1, -2, 1], [([1, -1], 2)]),     # leading zeros are a degree drop
+    ([0.5, -1.5, 1.0], [([1, -3, 2], 1)]),
+    ([7], []),
+    ([0, 0], []),
+]
+
+
+@pytest.mark.parametrize("coeffs, want", SPLIT_EXAMPLES)
+def test_square_free_split_examples(coeffs, want):
+    assert _square_free_split(coeffs) == want
+
+
+def test_square_free_split_reassembles_and_is_square_free():
+    rng = random.Random(91)
+    for _ in range(200):
+        poly = _random_split_input(rng)
+        if rng.random() < 0.5:
+            poly = [float(c) for c in poly]
+        split = _square_free_split(poly)
+        product = [1]
+        for factor, k in split:
+            assert factor[0] == 1 and len(factor) > 1
+            assert _poly_gcd(factor, _poly_deriv(factor)) == [1]  # square-free
+            for _ in range(k):
+                product = _poly_mul(product, factor)
+        exact = [F(c) for c in poly]
+        assert [exact[0] * c for c in product] == exact
+        for i, (f, _) in enumerate(split):
+            for g, _ in split[i + 1:]:
+                assert _poly_gcd(f, g) == [1]  # pairwise coprime
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_square_free_split_matches_sympy(kind):
+    sp = pytest.importorskip("sympy")
+    x = sp.symbols("x")
+    rng = random.Random({"int": 1, "fraction": 2, "float": 3}[kind])
+    for _ in range(60):
+        poly = _random_split_input(rng)
+        if kind == "int":
+            den = math.lcm(*(F(c).denominator for c in poly))
+            poly = [int(c * den) for c in poly]
+        elif kind == "float":
+            poly = [float(c) + rng.choice((0.0, 1e-3)) for c in poly]
+        ref = sp.Poly([sp.Rational(c) for c in poly], x, domain="QQ")
+        _, factors = ref.sqf_list()
+        want = sorted((tuple(F(str(c)) for c in f.monic().all_coeffs()), k) for f, k in factors)
+        got = sorted((tuple(f), k) for f, k in _square_free_split(poly))
+        assert got == want, poly
+
+
+def test_real_roots_carry_exact_multiplicities():
+    # the zero cubic on a line: Delta = 4 (s - 3/2)^4
+    poly = line_discriminant_poly(BinaryForm(3, [F(-3, 2), 0, F(3, 2), 0]),
+                                  BinaryForm(3, [1, 0, -1, 0]))
+    assert _poly_real_roots(poly) == [(1.5, 4)]
+    # a leading coefficient at rounding level is a degree drop
+    assert _poly_real_roots([1e-20, 1.0, -2.0, 1.0]) == [(1.0, 2)]
+    assert _poly_real_roots([5]) == []
+
+
+@pytest.mark.parametrize("scalar", [F, float])
+def test_time_integral_at_a_triple_root_off_zero(scalar):
+    # Delta = -(32/3)(s - 2)^3, so the clock from 0 to 2 is exactly 2
+    q0 = BinaryForm(3, [scalar(8) / 3, 0, -2, 0])
+    assert abs(time_integral(q0, BinaryForm(3, [0, 0, 1, 0]), 0, 2) - 2.0) < 1e-12
+
+
+def test_flow_cli_clock_ends_exactly_at_a_triple_root(capsys):
+    assert main(["flow", "--p", "0,0,1,0", "--q0", "8/3,0,-2,0", "--steps", "4"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[-1][0] == 2.0
+    assert abs(rows[-1][1] - 2.0) < 1e-12
+
+
+def test_flow_cli_stops_at_the_zero_cubic(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        assert main(["flow", "--p", "1,0,-1,0", "--q0=-3/2,0,3/2,0"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["rows"][-1][0] == 1.5
+    assert data["endpoint"]["kind"] == "ZeroCubic"
+    # Delta = 4 (s - 3/2)^4: t = 3^(5/6) (3/2)^(1/3) at the zero cubic
+    assert abs(data["rows"][-1][1] - 3 ** (5 / 6) * 1.5 ** (1 / 3)) < 1e-12
+
+
+def _multiple_root_line(rng, k):
+    """A rational line with a k-fold discriminant root at a rational r != 0.
+
+    Returns (q0, p, r, s0, normal, det g): along the line Delta(s) equals
+    det(g)^6 times the discriminant of normal[0] + (s - r) normal[1], a
+    normal form with its k-fold root at 0, and s0 = r +- 1/20 lies on the
+    positive side.
+    """
+    c = [rng.randint(-2, 2) for _ in range(4)]
+    if k == 4:    # the zero cubic: Delta = 4 t^4
+        normal, side = ([0, 0, 0, 0], [1, 0, -1, 0]), rng.choice((1, -1))
+    elif k == 3:  # lam u1^3: Delta = -4 (lam + c1 t) t^3
+        normal, side = ([F(rng.randint(1, 4), 2), 0, 0, 0], [c[0], 0, 1, 0]), -1
+    elif k == 2:  # u1^2 u2, tangent direction: Delta = t^2 (c3^2 + O(t))
+        c[2] = c[2] or 1
+        normal, side = ([0, 1, 0, 0], [c[0], c[1], c[2], 0]), rng.choice((1, -1))
+    else:         # u1^2 u2, transverse direction: Delta = -4 c4 t + O(t^2)
+        c[3] = c[3] or 1
+        normal, side = ([0, 1, 0, 0], c), (-1 if c[3] > 0 else 1)
+    r = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+    while True:
+        g = GL2(*(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)))
+        if g.det() != 0:
+            break
+    q_r, p_n = (BinaryForm(3, v) for v in normal)
+    q0 = act(g, BinaryForm(3, [a - r * b for a, b in zip(q_r.coeffs, p_n.coeffs)]))
+    return q0, act(g, p_n), r, r + side * F(1, 20), (q_r, p_n), g.det()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_clock_at_a_multiple_root_against_mpmath(k):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = random.Random(100 + k)
+    for _ in range(6):
+        q0, p, r, s0, (q_r, p_n), det = _multiple_root_line(rng, k)
+        # the exactly factored integrand: Delta = det^6 t^k h(t), t = s - r
+        normal_poly = line_discriminant_poly(q_r, p_n)
+        assert all(c == 0 for c in normal_poly[len(normal_poly) - k:])
+        h = [mpmath.mpf(c.numerator) / c.denominator for c in map(F, normal_poly[:-k])]
+        scale = mpmath.mpf(det.numerator) ** 6 / mpmath.mpf(det.denominator) ** 6 * 3 / 4
+
+        def integrand(t):
+            return (scale * t ** k * mpmath.polyval(h, t)) ** (-mpmath.mpf(1) / 6)
+
+        t0 = mpmath.mpf((s0 - r).numerator) / (s0 - r).denominator
+        ref = float(mpmath.quad(integrand, [t0, 0]))
+        roots = _poly_real_roots(line_discriminant_poly(q0, p))
+        end, mult = min(roots, key=lambda rk: abs(rk[0] - r))
+        assert mult == k and abs(end - r) <= 1e-12 * abs(r)
+        got = time_integral(q0, p, float(s0), end)
+        assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (k, q0, p, got, ref)
