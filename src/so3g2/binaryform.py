@@ -260,129 +260,61 @@ def q_map(g: GL2) -> BinaryForm:
     return Fraction(1, 3) * (f1 * f1 * f1) - f1 * (f2 * f2)
 
 
-# Normalization constants of the covering recipe: f1 is rescaled by
-# (3/4)^(1/3) and f2 - f3 by 48^(-1/6).
-_C1 = (3.0 / 4.0) ** (1.0 / 3.0)
-_C2 = 48.0 ** (-1.0 / 6.0)
+def hessian(q: BinaryForm) -> BinaryForm:
+    """Hessian covariant of a cubic: q11 q22 - q12^2 = 4 hessian(q).
 
-
-def _cubic_real_roots(f: BinaryForm) -> list[tuple[float, float]]:
-    """Projective real roots [a : b] of a cubic with three distinct real roots.
-
-    Returned as unit vectors (a, b) with a deterministic sign, sorted
-    lexicographically.  Rational coefficients get an exact rational-root
-    scan first; remaining roots come from the companion matrix.
+    It vanishes exactly when q is a multiple of a cube, and
+    hessian(q_map(g)) = -det(g)^2 (f1^2 + f2^2) for the rows f1, f2 of g.
     """
-    c = [float(v) for v in f.coeffs]
-    roots: list[tuple[float, float]] = []
-    work = np.array(c, dtype=float)
-    if abs(work[0]) < 1e-300:
-        # u2 divides: root at [1 : 0]
-        roots.append((1.0, 0.0))
-        work = work[1:]
-        rr = np.roots(work) if len(work) > 1 else []
-    else:
-        rr = np.roots(work)
-    for r in rr:
-        if abs(r.imag) > 1e-8 * (1 + abs(r.real)):
-            raise ValueError("cubic does not have three real roots")
-        t = float(r.real)
-        n = math.hypot(t, 1.0)
-        roots.append((t / n, 1.0 / n))
-    normed = []
-    for a, b in roots:
-        if b < 0 or (b == 0 and a < 0):
-            a, b = -a, -b
-        normed.append((a, b))
-    normed.sort()
-    return normed
+    q1, q2, q3, q4 = q.coeffs
+    return BinaryForm(2, [3 * q1 * q3 - q2 * q2, 9 * q1 * q4 - q2 * q3, 3 * q2 * q4 - q3 * q3])
+
+
+def cubic_covariant(q: BinaryForm) -> BinaryForm:
+    """The cubic covariant q_u1 H_u2 - q_u2 H_u1, with H = hessian(q).
+
+    At q = q_map(g) it is -2 det(g)^3 Im(zeta^3), where zeta = f1 + i f2
+    for the rows f1, f2 of g.
+    """
+    q1, q2, q3, q4 = q.coeffs
+    h1, h2, h3 = hessian(q).coeffs
+    return BinaryForm(3, [3 * q1 * h2 - 2 * q2 * h1, 6 * q1 * h3 + q2 * h2 - 4 * q3 * h1,
+                          4 * q2 * h3 - q3 * h2 - 6 * q4 * h1, 2 * q3 * h3 - 3 * q4 * h2])
 
 
 def q_invert(q: BinaryForm) -> list[GL2]:
-    """Preimages of a positive-discriminant cubic under q_map.
+    """The three preimages with det > 0 of a positive-discriminant cubic under q_map.
 
-    Returns one matrix per orbit of the residual symmetric-group action,
-    i.e. up to three essentially different matrices; q_map of each
-    reproduces q.  Raises for discriminant <= 0.
+    With zeta = f1 + i f2 for the rows of g, q_map(g) = Re(zeta^3)/3.  On
+    the det > 0 branch det(g)^3 = sqrt(3/4 Delta), so the cubic covariant
+    gives qhat = Im(zeta^3)/3 and 3(q + i qhat) = zeta^3 is a known cube.
+    Its three cube roots are the preimages; they differ by rotations
+    through 2 pi/3 (the even elements of ``sigma3_all``).  Raises for
+    discriminant <= 0.
     """
     if q.degree != 3:
         raise ValueError("q_invert expects a cubic")
     disc = float(discriminant(q))
     if disc <= 0:
         raise ValueError("not in covering image: discriminant <= 0")
-    roots = _cubic_real_roots(q)
-    # linear factors g_i(u) = b_i u1 - a_i u2 for root [a_i : b_i]
-    gs = [BinaryForm(1, [b, -a]) for a, b in roots]
-    out = []
-    for k in range(3):
-        f1r, f2r, f3r = gs[k], gs[(k + 1) % 3], gs[(k + 2) % 3]
-        g = _assemble_preimage(q, f1r, f2r, f3r)
-        if g is not None:
-            out.append(g)
-    return out
+    scale = -1.0 / (6.0 * math.sqrt(0.75 * disc))
+    c1, c2, c3, c4 = (complex(float(a), scale * float(b))
+                      for a, b in zip(q.coeffs, cubic_covariant(q).coeffs))
+    # zeta = alpha u1 + beta u2, so zeta^3 = (alpha^3, 3 alpha^2 beta, 3 alpha beta^2, beta^3);
+    # the cube root is taken at the larger end
+    if abs(c4) > abs(c1):
+        pairs = [(c3 / b ** 2, b) for b in _cube_roots(3 * c4)]
+    else:
+        pairs = [(a, c2 / a ** 2) for a in _cube_roots(3 * c1)]
+    return [GL2(a.real, b.real, a.imag, b.imag) for a, b in pairs]
 
 
-def _assemble_preimage(q: BinaryForm, g1: BinaryForm, g2: BinaryForm, g3: BinaryForm):
-    """Scale linear factors so f1 f2 f3 = q with f1 + f2 + f3 = 0, then read off g."""
-    a1, b1 = (float(v) for v in g1.coeffs)
-    a2, b2 = (float(v) for v in g2.coeffs)
-    a3, b3 = (float(v) for v in g3.coeffs)
-    # write g3 = alpha g1 + beta g2
-    det = a1 * b2 - a2 * b1
-    if abs(det) < 1e-14:
-        return None
-    alpha = (a3 * b2 - a2 * b3) / det
-    beta = (a1 * b3 - a3 * b1) / det
-    prod = alpha * beta
-    if prod == 0:
-        return None
-    # c1 g1 + c2 g2 + c3 g3 = 0 and (c1 g1)(c2 g2)(c3 g3) = q,
-    # so c3^3 = lead / (alpha beta) with q = lead * g1 g2 g3
-    lead = _leading_value(q, g1, g2, g3)
-    ratio = lead / prod
-    c3 = math.copysign(abs(ratio) ** (1.0 / 3.0), ratio)
-    c1, c2 = -c3 * alpha, -c3 * beta
-    f1 = c1 * g1.to_float()
-    f2 = c2 * g2.to_float()
-    f3 = c3 * g3.to_float()
-    x, y = (_C1 * v for v in f1.coeffs)
-    z, w = (_C2 * (f2.coeffs[i] - f3.coeffs[i]) for i in range(2))
-    if z < 0 or (z == 0 and w < 0):
-        z, w = -z, -w
-    g = GL2(x, y, z, w)
-    return _polish_preimage(q, g)
+def _cube_roots(c: complex) -> list[complex]:
+    root = c ** (1 / 3)
+    return [root, root * _OMEGA, root * _OMEGA.conjugate()]
 
 
-def _leading_value(q, g1, g2, g3) -> float:
-    """Scale s with q = s * g1 g2 g3 for the unscaled factors."""
-    prod = g1 * g2 * g3
-    qf = [float(v) for v in q.coeffs]
-    pf = [float(v) for v in prod.coeffs]
-    num = max(range(4), key=lambda i: abs(pf[i]))
-    return qf[num] / pf[num]
-
-
-def _polish_preimage(q: BinaryForm, g: GL2) -> GL2:
-    """One or two Newton steps on the coefficients of q_map(g) - q."""
-    v = np.array([g.x, g.y, g.z, g.w], dtype=float)
-    target = np.array([float(c) for c in q.coeffs])
-    for _ in range(3):
-        gx = GL2(*v)
-        res = np.array([float(c) for c in q_map(gx).coeffs]) - target
-        if np.max(np.abs(res)) < 1e-14 * max(1.0, np.max(np.abs(target))):
-            break
-        jac = np.zeros((4, 4))
-        h = 1e-7
-        for j in range(4):
-            vp = v.copy()
-            vp[j] += h
-            jac[:, j] = (np.array([float(c) for c in q_map(GL2(*vp)).coeffs])
-                         - res - target) / h
-        try:
-            v = v - np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError:
-            break
-    return GL2(*v)
+_OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)   # exp(2 pi i / 3)
 
 
 _A = GL2(-0.5, math.sqrt(3.0) / 2.0, math.sqrt(3.0) / 2.0, 0.5)  # (12)

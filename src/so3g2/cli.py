@@ -209,7 +209,8 @@ def cmd_flow(args) -> int:
         "endpoint": endpoint_report,
     }
     if args.g2_samples:
-        traj = integrate_line(p.to_float(), q0.to_float(), svals)
+        # a boundary root has no frame, so the G2 samples stop one row short of it
+        traj = integrate_line(p.to_float(), q0.to_float(), svals[:-1] if hits else svals)
         data["g2_samples"] = [s.to_json() for s in assemble_g2(traj)]
     _emit(data, args.output, args.format)
     return 0

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate as _sciint
 
 from ._exact import mat_rank, nullspace
-from .binaryform import BinaryForm, GL2, discriminant, q_invert, q_map
+from .binaryform import BinaryForm, GL2, discriminant, hessian, q_invert, q_map
 from .exterior import CEOperator, apply_d, wedge
 from .stableform import (
     SIGMA,
@@ -360,23 +360,11 @@ class Trajectory:
         return [st.q for st in self.states]
 
 
-def _frame_candidates(q: BinaryForm) -> list[GL2]:
-    cands = []
-    for g in q_invert(q):
-        for flip in (1.0, -1.0):
-            cands.append(GL2(g.x, g.y, flip * g.z, flip * g.w))
-    return cands
-
-
-def _nearest_frame(cands, prev: Optional[GL2], want_positive_det: bool) -> GL2:
-    pool = [g for g in cands if (float(g.det()) > 0) == want_positive_det] or cands
-    if prev is None:
-        pool.sort(key=lambda g: (abs(g.x - 1) + abs(g.w - 1) + abs(g.y) + abs(g.z)))
-        return pool[0]
-    def dist(g):
-        return (abs(g.x - prev.x) + abs(g.y - prev.y)
-                + abs(g.z - prev.z) + abs(g.w - prev.w))
-    return min(pool, key=dist)
+def _nearest_frame(q: BinaryForm, prev: Optional[GL2]) -> GL2:
+    """The det > 0 preimage of q nearest prev, or nearest the identity at the start."""
+    ref = prev or GL2.identity()
+    return min(q_invert(q), key=lambda g: (abs(g.x - ref.x) + abs(g.y - ref.y)
+                                           + abs(g.z - ref.z) + abs(g.w - ref.w)))
 
 
 def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
@@ -398,7 +386,7 @@ def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
             raise ValueError(f"discriminant not positive at s={s}")
         if prev_s is not None:
             t += _time_integral(poly, roots, prev_s, s)
-        g = _nearest_frame(_frame_candidates(q), prev_g, want_positive_det=True)
+        g = _nearest_frame(q, prev_g)
         traj.states.append(FlowState(q=q, p=p, s=float(s), t=t, detg=clock_detg(q)))
         traj.frames.append(g)
         prev_g, prev_s = g, s
@@ -428,7 +416,7 @@ def integrate_time_grid(p: BinaryForm, q_start: BinaryForm, s0: float,
     for t in t_grid:
         s = float(sol.sol(t)[0])
         q = line_cubic(q_start, p, s)
-        g = _nearest_frame(_frame_candidates(q), prev_g, want_positive_det=True)
+        g = _nearest_frame(q, prev_g)
         traj.states.append(FlowState(q=q, p=p, s=s, t=float(t), detg=clock_detg(q)))
         traj.frames.append(g)
         prev_g = g
@@ -520,8 +508,7 @@ def _triple_root(q: BinaryForm):
     """(root f, lambda) if q = lambda f^3, else None."""
     q1, q2, q3, q4 = (float(v) for v in q.coeffs)
     scale = max(abs(q1), abs(q2), abs(q3), abs(q4))
-    hess = (q2 * q2 - 3 * q1 * q3, q2 * q3 - 9 * q1 * q4, q3 * q3 - 3 * q2 * q4)
-    if max(abs(h) for h in hess) > _ENDPOINT_TOL * max(1.0, scale) ** 2:
+    if max(abs(float(h)) for h in hessian(q).coeffs) > _ENDPOINT_TOL * max(1.0, scale) ** 2:
         return None
     if abs(q1) >= abs(q4):
         alpha, beta = 3 * q1, q2

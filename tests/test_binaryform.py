@@ -9,7 +9,9 @@ from so3g2.binaryform import (
     BinaryForm,
     GL2,
     act,
+    cubic_covariant,
     discriminant,
+    hessian,
     q_invert,
     q_map,
     resultant,
@@ -180,22 +182,21 @@ def test_q_invert_rejects_nonpositive_discriminant():
 
 
 def test_q_invert_preimages_left_related():
+    # the three preimages all have det > 0 and are the first one turned
+    # through +-2 pi/3, the even elements (1,2,0) and (2,0,1) of sigma3
     rng = random.Random(17)
-    q = q_map(GL2(1.1, 0.3, -0.2, 0.9))
-    pre = q_invert(q)
-    assert len(pre) == 3
-    mats = sigma3_all()
-    for g in pre[1:]:
-        found = False
-        for k in mats:
-            kg = k @ pre[0]
-            for flip in (1.0, -1.0):
-                cand = GL2(kg.x, kg.y, flip * kg.z, flip * kg.w)
-                err = max(abs(float(a) - float(b)) for a, b in zip(
-                    (g.x, g.y, g.z, g.w), (cand.x, cand.y, cand.z, cand.w)))
-                if err < 1e-9:
-                    found = True
-        assert found
+    turns = [sigma3_element((1, 2, 0)), sigma3_element((2, 0, 1))]
+    for _ in range(20):
+        pre = q_invert(q_map(rand_gl2(rng)))
+        assert len(pre) == 3
+        assert all(float(g.det()) > 0 for g in pre)
+        matches = []
+        for g in pre[1:]:
+            errs = [max(abs(a - b) for a, b in zip((g.x, g.y, g.z, g.w), (kg.x, kg.y, kg.z, kg.w)))
+                    for kg in (k @ pre[0] for k in turns)]
+            assert min(errs) < 1e-9
+            matches.append(errs.index(min(errs)))
+        assert sorted(matches) == [0, 1]
 
 
 def test_sigma3_elements():
@@ -267,3 +268,29 @@ def test_symbolic_clock_identity():
     # negative control: one perturbed coefficient breaks the identity
     bad = BinaryForm(3, [q.coeffs[0], q.coeffs[1] + a * b ** 2, q.coeffs[2], q.coeffs[3]])
     assert sp.expand(discriminant(bad) - want) != 0
+
+
+def test_symbolic_cubic_of_a_frame_is_a_cube():
+    # with zeta = f1 + i f2 for the rows of g: hessian(q(g)) = -det^2 (f1^2 + f2^2)
+    # and cubic_covariant(q(g)) = -2 det^3 Im(zeta^3), while q(g) = Re(zeta^3)/3;
+    # so 3(q + i qhat) = zeta^3 with qhat = -cubic_covariant / (6 det^3)
+    sp = pytest.importorskip("sympy")
+    x, y, z, w = sp.symbols("x y z w", real=True)
+    q = q_map(GL2(x, y, z, w))
+    f1, f2 = BinaryForm(1, [x, y]), BinaryForm(1, [z, w])
+    zeta = BinaryForm(1, [x + sp.I * z, y + sp.I * w])
+    cube = [sp.expand(c) for c in (zeta * zeta * zeta).coeffs]
+    det = x * w - y * z
+    want_h = [-det ** 2 * c for c in (f1 * f1 + f2 * f2).coeffs]
+    want_t = [-2 * det ** 3 * sp.im(c) for c in cube]
+
+    def same(lhs, rhs):
+        return all(sp.expand(a - b) == 0 for a, b in zip(lhs, rhs))
+
+    assert same(q.coeffs, [sp.re(c) / 3 for c in cube])
+    assert same(hessian(q).coeffs, want_h)
+    assert same(cubic_covariant(q).coeffs, want_t)
+    # negative control: one perturbed coefficient breaks both identities
+    bad = BinaryForm(3, [q.coeffs[0], q.coeffs[1] + x * y ** 2, q.coeffs[2], q.coeffs[3]])
+    assert not same(hessian(bad).coeffs, want_h)
+    assert not same(cubic_covariant(bad).coeffs, want_t)

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import re
+import warnings
 
 import pytest
 
@@ -104,12 +105,24 @@ def test_flow_bs_trajectory_with_endpoint(capsys):
 
 
 def test_flow_g2_samples_for_a_direction_without_rational_factor(capsys):
-    # p = u1^3 + u1 u2^2 + 3 u2^3 has one real linear factor, irrational
-    with pytest.warns(UserWarning, match="truncated"):
+    # p = u1^3 + u1 u2^2 + 3 u2^3 has one real linear factor, irrational;
+    # the boundary root ends the rows and has no frame, so no G2 sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out = run_cli(capsys, "flow", "--p", "1,0,1,3", "--q0", "1/3,0,-1,0",
                             "--g2-samples")
     assert code == 0
-    assert len(json.loads(out)["g2_samples"]) > 0
+    data = json.loads(out)
+    assert len(data["g2_samples"]) == len(data["rows"]) - 1
+
+
+def test_flow_g2_samples_stop_before_an_exact_boundary_root(capsys):
+    code, out = run_cli(capsys, "flow", "--p", "0,0,1,0", "--q0", "1/3,0,-1,0",
+                        "--steps", "5", "--g2-samples")
+    assert code == 0
+    data = json.loads(out)
+    assert data["rows"][-1][7] == 0
+    assert len(data["g2_samples"]) == 4
 
 
 def test_flow_g2_samples_are_those_of_the_sampled_line(capsys):

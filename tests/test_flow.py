@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
-from so3g2.binaryform import BinaryForm, GL2, act, discriminant
+from so3g2.binaryform import BinaryForm, GL2, act, discriminant, q_invert, q_map
 from so3g2.cli import main
 from so3g2.flow import (
     CANONICAL_GENERATORS,
@@ -582,3 +582,24 @@ def test_clock_at_a_multiple_root_against_mpmath(k):
         assert mult == k and abs(end - r) <= 1e-12 * abs(r)
         got = time_integral(q0, p, float(s0), end)
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (k, q0, p, got, ref)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_frames_next_to_a_boundary_root_reproduce_the_cubic(eps):
+    # at s = r (1 - eps) before the first boundary root r the frame is nearly
+    # singular; the closed-form inversion still has a tiny backward error
+    rng = random.Random(5)
+    q0 = Q0.to_float()
+    worst = 0.0
+    lines = 0
+    while lines < 200:
+        p = BinaryForm(3, [rng.uniform(-1, 1) for _ in range(4)])
+        ahead = [r for r, _ in _poly_real_roots(line_discriminant_poly(q0, p)) if r > 0]
+        if not ahead:
+            continue
+        lines += 1
+        q = line_cubic(q0, p, min(ahead) * (1 - eps))
+        for g in q_invert(q):
+            back = q_map(g)
+            worst = max(worst, max(abs(a - b) for a, b in zip(back.coeffs, q.coeffs)) / q.norm())
+    assert worst <= 1e-9
