@@ -67,8 +67,8 @@ for s, g in zip(svals, traj.frames):
 print("(the 7d fibre coefficient is 4 fib / z^2 in the flat chart over z = sqrt(s))")
 
 print()
-print("=== numerical Ricci of the complete family ===")
-for z in (0.5, 1.0, 2.0):
+print("=== Ricci of the complete family, down to the collapsed orbit ===")
+for z in (0.01, 0.5, 1.0, 2.0):
     r = np.max(np.abs(ricci7(case3_family(LAM), d, z)))
     print(f"z={z}: max |Ric| = {r:.2e}")
 

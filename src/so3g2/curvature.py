@@ -69,7 +69,7 @@ def koszul_connection(c: np.ndarray) -> np.ndarray:
     """Levi-Civita coefficients gam[i,j,k] = <nabla_{e_i} e_j, e_k> of an
     orthonormal frame with brackets [e_i, e_j] = sum_k c[k,i,j] e_k, from
     2<nabla_X Y, Z> = <[X,Y],Z> - <[Y,Z],X> + <[Z,X],Y> (Milnor 1976)."""
-    return 0.5 * (np.einsum("kij->ijk", c) - c + np.einsum("jki->ijk", c))
+    return (np.einsum("kij->ijk", c) - c + np.einsum("jki->ijk", c)) / 2
 
 
 def koszul_riemann(c: np.ndarray, gam: np.ndarray, dgam: np.ndarray | None = None) -> np.ndarray:

@@ -372,7 +372,11 @@ def apply_d(d: CEOperator, a: KForm) -> KForm:
         # turn an int sum into a Fraction or an exact sum into a float
         terms = np.zeros(block.shape, object)
         np.multiply(block, vals, out=terms, where=block != 0)
-        return KForm.from_vector(a.degree + 1, terms.sum(axis=1))
+        sums = terms.sum(axis=1)
+        for n, v in enumerate(sums.tolist()):
+            if hasattr(v, "expand"):  # symbolic (sympy): an identically zero sum becomes 0
+                sums[n] = v.expand()
+        return KForm.from_vector(a.degree + 1, sums)
     return KForm.from_vector(a.degree + 1, block @ vals)
 
 
@@ -398,7 +402,8 @@ def pullback(m, a: KForm) -> KForm:
 
 
 def d_squared_residual(d: CEOperator) -> Scalar:
-    """Max absolute coefficient of d(d(e^i)) over i; zero iff Jacobi holds."""
+    """Max absolute coefficient of d(d(e^i)) over i; zero iff Jacobi holds
+    (for sympy coefficients: 0 when it holds identically)."""
     worst: Scalar = 0
     for i in range(1, DIM + 1):
         dd = apply_d(d, d.d1(i))

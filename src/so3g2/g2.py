@@ -16,10 +16,10 @@ three cohomogeneity-one presentations.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,58 +160,70 @@ def check_closedness(samples: Sequence[G2Sample], d: CEOperator,
 # the complete metric family and the smoothness criterion
 # ---------------------------------------------------------------------------
 
-def bs_metric(lam: float, z: float) -> np.ndarray:
-    """The complete metric family on the rank-four bundle at parameter z.
+THIRD = Fraction(1, 3)
+HALF = Fraction(1, 2)
 
-    7x7 diagonal in the order (three einbeins of the base orbit, four
-    flat fibre coordinates):
-    3^(-1/3) * (3 (z^2+lam)^(2/3) base + 4 (z^2+lam)^(-1/3) fibre).
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    r = z * z + lam
-    base = 3.0 ** (-1.0 / 3.0) * 3.0 * r ** (2.0 / 3.0)
-    fib = 3.0 ** (-1.0 / 3.0) * 4.0 * r ** (-1.0 / 3.0)
-    return np.diag([base] * 3 + [fib] * 4)
+
+class Power(NamedTuple):
+    """The coefficient coef * z^m * (3 (z^2 + lam))^e of a metric family."""
+
+    coef: object
+    m: int
+    e: object  # an int or a Fraction, so that symbolic z stays exact
 
 
 @dataclass(frozen=True)
 class MetricFamily:
     """Cohomogeneity-one metric data on z > 0 with a collapsing su(2) fibre:
 
-        g = rad(z) dz^2 + base(z) (base orbit block) + fib(z) (fibre block).
+        g = rad(z) dz^2 + base(z) (base orbit block) + fib(z) (fibre block),
 
-    The fibre block collapses at z = 0; the action normalization turns
-    fib into the angular coefficient a(z) = 4 fib(z) / z^2 on the flat
-    model of the slice.
+    each coefficient a ``Power`` in z and z^2 + lam, lam > 0.  The fibre
+    block collapses at z = 0; the action normalization turns fib into the
+    angular coefficient a(z) = 4 fib(z) / z^2 on the flat model of the slice.
     """
 
-    base: Callable[[float], float]
-    fib: Callable[[float], float]
-    rad: Callable[[float], float]
+    lam: object
+    base: Power
+    fib: Power
+    rad: Power
 
-    def angular(self, z: float) -> float:
-        return 4.0 * self.fib(z) / (z * z)
+    @property
+    def angular(self) -> Power:
+        return Power(4 * self.fib.coef, self.fib.m - 2, self.fib.e)
+
+    def value(self, p: Power, z):
+        return p.coef * z ** p.m * (3 * (z * z + self.lam)) ** p.e
 
 
-def case3_family(lam: float) -> MetricFamily:
+#: base, fibre and radial powers of the symmetric-trajectory family
+_CASE3 = (Power(1, 0, 2 * THIRD), Power(1, 2, -THIRD), Power(4, 0, -THIRD))
+
+
+def case3_family(lam) -> MetricFamily:
     """The symmetric-trajectory family in the even coordinate z = sqrt(s)."""
-    return MetricFamily(
-        base=lambda z: (3.0 * (z * z + lam)) ** (2.0 / 3.0),
-        fib=lambda z: z * z * (3.0 * (z * z + lam)) ** (-1.0 / 3.0),
-        rad=lambda z: 4.0 * (3.0 * (z * z + lam)) ** (-1.0 / 3.0),
-    )
+    return MetricFamily(lam, *_CASE3)
 
 
-def case2_family(lam: float) -> MetricFamily:
+def bs_metric(lam: float, z: float) -> np.ndarray:
+    """The complete metric family on the rank-four bundle at parameter z.
+
+    7x7 diagonal in the order (three einbeins of the base orbit, four
+    flat fibre coordinates): the base and angular coefficients of
+    ``case3_family(lam)``, (3 (z^2+lam))^(2/3) and 4 (3 (z^2+lam))^(-1/3).
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    fam = case3_family(lam)
+    return np.diag([fam.value(fam.base, z)] * 3 + [fam.value(fam.angular, z)] * 4)
+
+
+def case2_family(lam) -> MetricFamily:
     """The collapsing family of the double-root trajectory, as displayed
     in the source analysis: base (3 lam)^(2/3), fibre t^2 (3 lam)^(1/3)/4,
     clock coefficient 1."""
-    return MetricFamily(
-        base=lambda z: (3.0 * lam) ** (2.0 / 3.0),
-        fib=lambda z: 0.25 * z * z * (3.0 * lam) ** (1.0 / 3.0),
-        rad=lambda z: 1.0,
-    )
+    return MetricFamily(lam, base=Power((3 * lam) ** (2 * THIRD), 0, 0),
+                        fib=Power((3 * lam) ** THIRD / 4, 2, 0), rad=Power(1, 0, 0))
 
 
 def smoothness_check(family: MetricFamily) -> bool:
@@ -220,34 +232,19 @@ def smoothness_check(family: MetricFamily) -> bool:
     Criteria: base, angular and radial coefficients extend to even
     functions of z with finite positive limits, and the angular and
     radial coefficients agree at z = 0 (otherwise the radial-direction
-    obstruction term survives).
+    obstruction term survives).  With lam > 0 a power extends that way
+    exactly when m = 0 and its value at z = 0 is positive.
     """
-    for f in (family.base, family.angular, family.rad):
-        for z in (0.25, 0.125, 0.0625):
-            plus, minus = f(z), f(-z)
-            if not (math.isfinite(plus) and math.isfinite(minus)):
-                return False
-            if abs(plus - minus) > 1e-9 * max(1.0, abs(plus)):
-                return False  # odd component: not even in z
-            if plus <= 0:
-                return False
-    a0 = _limit_at_zero(family.angular)
-    r0 = _limit_at_zero(family.rad)
-    b0 = _limit_at_zero(family.base)
-    if not all(math.isfinite(v) and v > 0 for v in (a0, r0, b0)):
+    powers = (family.base, family.angular, family.rad)
+    if not family.lam > 0 or any(p.m != 0 or not family.value(p, 0) > 0 for p in powers):
         return False
-    return abs(a0 - r0) <= 1e-8 * max(1.0, abs(r0))
+    r0 = family.value(family.rad, 0)
+    return abs(family.value(family.angular, 0) - r0) <= 1e-8 * max(1.0, abs(r0))
 
 
-def _limit_at_zero(f: Callable[[float], float]) -> float:
-    # Richardson extrapolation of f(h), f(h/2) at h = 1e-3, assuming an even function
-    v1, v2 = f(1e-3), f(5e-4)
-    return (4.0 * v2 - v1) / 3.0
-
-
-def smoothness_obstruction(family: MetricFamily) -> float:
+def smoothness_obstruction(family: MetricFamily):
     """The radial-minus-angular mismatch at the collapsed orbit."""
-    return _limit_at_zero(family.rad) - _limit_at_zero(family.angular)
+    return family.value(family.rad, 0) - family.value(family.angular, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,43 +276,37 @@ def triality_action(k: int, m: ModelPoint) -> ModelPoint:
 
 
 # ---------------------------------------------------------------------------
-# numerical curvature of a cohomogeneity-one metric (spot check)
+# curvature of a cohomogeneity-one metric
 # ---------------------------------------------------------------------------
 
-def ricci7(family: MetricFamily, d: CEOperator, z: float) -> np.ndarray:
-    """Numerical Ricci (7x7, orthonormal frame) of
-    rad dz^2 + base (odd block) + fib (even block) over the algebra d.
+def ricci7(family: MetricFamily, d: CEOperator, z) -> np.ndarray:
+    """Ricci (7x7) of rad dz^2 + base (odd block) + fib (even block) over
+    the algebra d, in the orthonormal frame E_0 = rad^(-1/2) d/dz,
+    E_i = f_i^(-1/2) e_i, on floats or on sympy symbols z and lam.
 
-    Runs the Koszul curvature kernel on the frame brackets; the
-    z-derivative of the connection coefficients, taken by fourth-order
-    central differences, enters as the frame derivative along E_0.
+    The frame brackets and their z-derivative are closed forms in
+    (log f)' = m/z + 2ez/(z^2+lam) and (log f)'' = -m/z^2 + 2e(lam-z^2)/(z^2+lam)^2;
+    E_0 of the connection is the Koszul kernel's frame derivative.
     """
-    c = _structure7(family, d, z)
-    dz = 1e-3
-    dgam = np.zeros((7,) * 4)
-    dgam[0] = central_difference(
-        lambda k: koszul_connection(_structure7(family, d, z + k * dz)), dz
-    ) * (1.0 / math.sqrt(family.rad(z)))
-    return np.einsum("ijki->jk", koszul_riemann(c, koszul_connection(c), dgam))
-
-
-def _scales(family: MetricFamily, z: float) -> np.ndarray:
-    return np.sqrt([family.rad(z)] + [family.base(z), family.fib(z)] * 3)
-
-
-def _structure7(family: MetricFamily, d: CEOperator, z: float) -> np.ndarray:
-    """c[e, a, b] with [E_a, E_b] = sum_e c[e,a,b] E_e for the orthonormal
-    frame E_0 = rad^(-1/2) d/dz, E_i = f_i^(-1/2) e_i."""
-    dz = 1e-4
-    f = _scales(family, z)
-    fp = central_difference(lambda k: _scales(family, z + k * dz), dz)
-    c = np.zeros((7, 7, 7))
-    # [E_0, E_i] = -(f_i'/ (f_i sqrt(rad))) E_i
+    lam, r = family.lam, z * z + family.lam
+    powers = (family.rad,) + (family.base, family.fib) * 3
+    s = np.array([family.value(p, z) ** HALF for p in powers])
+    # q = (log s)' and dq = (log s)''
+    q = np.array([p.m / z + 2 * p.e * z / r for p in powers]) / 2
+    dq = np.array([-p.m / (z * z) + 2 * p.e * (lam - z * z) / (r * r) for p in powers]) / 2
+    # zeros of the type of the scales: float64, or sympy's exact zero
+    c = np.full((7, 7, 7), 0 * s[0])
+    dc = c.copy()
     i = np.arange(1, 7)
-    coef = fp[1:] / (f[1:] * f[0])
-    c[i, 0, i] = -coef
-    c[i, i, 0] = coef
-    # group part: [e_i, e_j] = sum c^k_ij e_k, rescaled
-    c[1:, 1:, 1:] = (np.array(bracket_constants(d), dtype=float)
-                     * f[1:, None, None] / np.multiply.outer(f[1:], f[1:]))
-    return c
+    # [E_0, E_i] = -(q_i / s_0) E_i
+    c[i, i, 0] = q[1:] / s[0]
+    c[i, 0, i] = -c[i, i, 0]
+    dc[i, i, 0] = (dq[1:] - q[1:] * q[0]) / s[0]
+    dc[i, 0, i] = -dc[i, i, 0]
+    # group part: [e_i, e_j] = sum c^k_ij e_k, rescaled by s_k / (s_i s_j)
+    brackets = np.array(bracket_constants(d))
+    c[1:, 1:, 1:] = brackets * s[1:, None, None] / np.multiply.outer(s[1:], s[1:])
+    dc[1:, 1:, 1:] = c[1:, 1:, 1:] * (q[1:, None, None] - q[None, 1:, None] - q[None, None, 1:])
+    dgam = np.zeros((7,) * 4, c.dtype)
+    dgam[0] = koszul_connection(dc) / s[0]
+    return np.einsum("ijki->jk", koszul_riemann(c, koszul_connection(c), dgam))

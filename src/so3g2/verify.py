@@ -546,7 +546,7 @@ def suite_g2_closedness() -> SuiteResult:
     smooth2 = ([lam for lam in (1.0 / 3.0, 0.5, 1.0, 2.0)
                 if smoothness_check(case2_family(lam))] == [1.0 / 3.0])
     ricci_worst = max(float(np.max(np.abs(ricci7(case3_family(1.0), d, z))))
-                      for z in (0.4, 0.9, 1.6))
+                      for z in (0.01, 0.4, 0.9, 1.6))
     passed = (max(dphi, dstar) < G2_TOL and dphi_p > 1e-3 and smooth3 and smooth2
               and ricci_worst < 1e-5)
     detail = (f"dphi {dphi:.1e}, dstar {dstar:.1e}, perturbed {dphi_p:.1e}, "

@@ -290,6 +290,20 @@ def test_d_squared_residual_matches_loop_on_jacobi_suite_inputs():
         assert res == ref_d_squared_residual(d) and res != 0
 
 
+def test_d_squared_residual_on_plain_sympy_symbols():
+    sp = pytest.importorskip("sympy")
+    # apply_d expands its symbolic sums, so the identically-zero d^2
+    # coefficients of plain expressions drop out as 0
+    x1, x2, y1, y2, y3 = sp.symbols("x1 x2 y1 y2 y3")
+    d = structure_constants(ModelPoint.make([x1, x2], [y1, y2, y3]))
+    assert d_squared_residual(d) == 0
+    # negative control: a perturbed bracket leaves a nonzero polynomial
+    imgs = list(d.images)
+    imgs[0] = imgs[0] + KForm(2, {(3, 5): x1})
+    bad = CEOperator(tuple(imgs))
+    assert any(not apply_d(bad, bad.d1(i)).is_zero() for i in range(1, DIM + 1))
+
+
 def test_symbolic_d_squared_residual_vanishes():
     sp = pytest.importorskip("sympy")
     # elements of a polynomial ring stay expanded, so the zero test and

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from so3g2.flow import (
 )
 from so3g2.g2 import (
     MetricFamily,
+    Power,
     assemble_g2,
     bs_metric,
     case2_family,
@@ -124,13 +126,17 @@ def test_smoothness_cases():
     assert smoothness_check(case2_family(1.0 / 3.0))
     assert not smoothness_check(case2_family(1.0))
     assert not smoothness_check(case2_family(0.1))
+    # lam = 0 is the cone over the orbit, and lam < 0 leaves the domain
+    for lam in (0.0, -1.0):
+        assert not smoothness_check(case3_family(lam))
+        assert not smoothness_check(case2_family(lam))
     obs = smoothness_obstruction(case2_family(1.0))
     assert abs(obs - (1.0 - 3.0 ** (1.0 / 3.0))) < 1e-8
 
 
 def test_smoothness_rejects_odd_component():
-    fam = MetricFamily(base=lambda z: 1.0 + z, fib=lambda z: 0.25 * z * z,
-                       rad=lambda z: 1.0)
+    fam = MetricFamily(1.0, base=Power(1.0, 1, 0), fib=Power(0.25, 2, 0),
+                       rad=Power(1.0, 0, 0))
     assert not smoothness_check(fam)
 
 
@@ -210,9 +216,50 @@ def test_ricci7_spot_checks():
     assert np.max(np.abs(ricci7(case2_family(1.0), d2, 0.8))) > 1e-1
 
 
+def test_ricci7_next_to_the_collapsed_orbit():
+    # the closed-form frame derivatives keep the Ricci-flat family flat to
+    # rounding where the fibre collapses (rounding grows like 1/z^2)
+    d = structure_constants(ModelPoint.make([1.0, 0.0], [-1.0, 0.0, 1.0]))
+    for lam in (0.5, 1.0, 2.0):
+        for z in np.geomspace(0.01, 6.0, 25):
+            assert np.max(np.abs(ricci7(case3_family(lam), d, z))) < 1e-10
+
+
+def _distinct_ricci7(family, d, z):
+    sp = pytest.importorskip("sympy")
+    return {sp.cancel(v) for v in ricci7(family, d, z).ravel()}
+
+
+def test_symbolic_ricci7_of_complete_family_vanishes():
+    sp = pytest.importorskip("sympy")
+    z, lam = sp.symbols("z lam", positive=True)
+    d = structure_constants(ModelPoint.make([1, 0], [-1, 0, 1]))
+    fam = case3_family(lam)
+    assert _distinct_ricci7(fam, d, z) == {0}
+    # negative control: radial exponent -1/4 in place of -1/3, exactly at z = lam = 1
+    bad = MetricFamily(1, fam.base, fam.fib, Power(4, 0, Fraction(-1, 4)))
+    assert _distinct_ricci7(bad, d, sp.Integer(1)) != {0}
+
+
+def test_symbolic_ricci7_of_double_root_family_pins_lambda():
+    sp = pytest.importorskip("sympy")
+    z, lam = sp.symbols("z lam", positive=True)
+    third = sp.Rational(1, 3)
+    d = structure_constants(ModelPoint.make([1, 0], [0, 0, -1]))
+    (entry,) = _distinct_ricci7(case2_family(lam), d, z) - {0}
+    assert sp.cancel(entry - 2 * (3 ** (2 * third) - 3 * lam ** third)
+                     / (3 * lam ** third * z ** 2)) == 0
+    assert sp.solve(entry, lam) == [third]
+    fam = case2_family(third)
+    assert _distinct_ricci7(fam, d, z) == {0}
+    # negative control: fibre exponent 1/4 in place of 0, exactly at z = 1
+    bad = MetricFamily(third, fam.base, Power(fam.fib.coef, 2, Fraction(1, 4)), fam.rad)
+    assert _distinct_ricci7(bad, d, sp.Integer(1)) != {0}
+
+
 def test_ricci7_of_product_matches_six_dim_oracle(rng):
     # constant coefficients: the product of a line with the group metric
-    product = MetricFamily(base=lambda z: 1.0, fib=lambda z: 1.0, rad=lambda z: 1.0)
+    product = MetricFamily(1.0, *[Power(1.0, 0, 0)] * 3)
     for _ in range(10):
         d = structure_constants(random_float_point(rng))
         ric6 = levi_civita_oracle(d).ricci
