@@ -8,12 +8,16 @@ the defaults of the sampled suites.  Rational inputs are accepted as
 "p/q" strings so the exact pipeline stays exact end to end; every
 number must be finite.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
+
+main() reuses one parser per process and resolves the command's cmd_*
+function by name at call time.  `so3g2 --help` shows the paragraphs above.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -283,27 +287,28 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="so3g2", description=__doc__)
+    """The shared parser of this process, built on first use; do not mutate it."""
+    ap = argparse.ArgumentParser(prog="so3g2", description=__doc__.rpartition("\n\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def sub_parser(name, func, fmt=False, **kw):
+    def sub_parser(name, fmt=False, **kw):
         c = sub.add_parser(name, **kw)
         c.add_argument("--output", help="write the result to this path")
         if fmt:
             c.add_argument("--format", choices=("json", "csv"), default="json")
-        c.set_defaults(func=func)
         return c
 
-    c = sub_parser("classify", cmd_classify, help="classify a model point")
+    c = sub_parser("classify", help="classify a model point")
     c.add_argument("--x", required=True, help="x1,x2")
     c.add_argument("--y", required=True, help="y1,y2,y3")
 
-    c = sub_parser("curvature", cmd_curvature, help="curvature report of a model point")
+    c = sub_parser("curvature", help="curvature report of a model point")
     c.add_argument("--x", required=True)
     c.add_argument("--y", required=True)
 
-    c = sub_parser("flow", cmd_flow, fmt=True,
+    c = sub_parser("flow", fmt=True,
                    help="integrate the closed-form evolution line")
     c.add_argument("--p", required=True, help="torsion direction p1,p2,p3,p4")
     c.add_argument("--q0", required=True, help="initial cubic q1,q2,q3,q4")
@@ -313,16 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="line direction; 0 picks the positive-discriminant side")
     c.add_argument("--g2-samples", action="store_true")
 
-    c = sub_parser("bs-metric", cmd_bs_metric, fmt=True,
+    c = sub_parser("bs-metric", fmt=True,
                    help="complete-metric coefficients at z values")
     c.add_argument("--lam", type=positive_float, default=1.0)
     c.add_argument("--z", required=True, help="comma separated z values")
 
-    c = sub_parser("endpoints", cmd_endpoints, help="classify a boundary cubic")
+    c = sub_parser("endpoints", help="classify a boundary cubic")
     c.add_argument("--p", required=True)
     c.add_argument("--q", required=True)
 
-    c = sub_parser("contract", cmd_contract, help="contraction generators and planes")
+    c = sub_parser("contract", help="contraction generators and planes")
     c.add_argument("--a", default="1")
     c.add_argument("--b", default="0")
     c.add_argument("--c", default="0")
@@ -337,16 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample count of the sampled suites (default: each suite's own)")
     c.add_argument("--perturb-jacobi", action="store_true",
                    help="negative control: perturb structure constants")
-    c.set_defaults(func=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up per call, so a rebound cmd_* (a stub, a tracing wrapper) is the one run
+    cmd = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
-    except SystemExit2:
-        raise
+        return cmd(args)
     except (ValueError, InvalidEndpoint, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

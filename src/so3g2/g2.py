@@ -193,7 +193,9 @@ class MetricFamily:
         return Power(4 * self.fib.coef, self.fib.m - 2, self.fib.e)
 
     def value(self, p: Power, z):
-        return p.coef * z ** p.m * (3 * (z * z + self.lam)) ** p.e
+        base = 3 * (z * z + self.lam)
+        # a float base takes float(e): the arithmetic of Fraction.__rpow__, without its cost
+        return p.coef * z ** p.m * base ** (float(p.e) if isinstance(base, float) else p.e)
 
 
 #: base, fibre and radial powers of the symmetric-trajectory family
@@ -243,7 +245,10 @@ def smoothness_check(family: MetricFamily) -> bool:
 
 
 def smoothness_obstruction(family: MetricFamily):
-    """The radial-minus-angular mismatch at the collapsed orbit."""
+    """The radial-minus-angular mismatch at the collapsed orbit (ValueError at a pole)."""
+    for name, p in (("radial", family.rad), ("angular", family.angular)):
+        if p.m < 0:
+            raise ValueError(f"the {name} coefficient has a pole at z = 0")
     return family.value(family.rad, 0) - family.value(family.angular, 0)
 
 

@@ -272,6 +272,22 @@ def _so2(theta: float) -> GL2:
     return GL2(c, -s, s, c)
 
 
+def orbit_invariants(t: TCoords):
+    """Scale-free invariants of the rotation orbit through t: the norm
+    ratio of z1 = t1 + i t2 and the normalized phase of z1 * z2^3, with
+    z2 = t3 + i t4.  The rotation by theta multiplies z1 by e^(-3 i theta)
+    and z2 by e^(i theta), so z1 * z2^3 is fixed."""
+    z1, z2 = complex(t.t1, t.t2), complex(t.t3, t.t4)
+    n1, n2 = abs(z1), abs(z2)
+    total = math.hypot(n1, n2)
+    if total == 0:
+        return (0.0, 0.0, 0.0)
+    if n1 < 1e-12 * total or n2 < 1e-12 * total:
+        return (n1 / total, 0.0, 0.0)
+    w = z1 * z2 ** 3 / (n1 * n2 ** 3)
+    return (n1 / total, w.real, w.imag)
+
+
 def suite_einstein(seed: int = 4, n_samples: int = 10000) -> SuiteResult:
     """The Einstein locus is exactly the three rotation orbits of the
     representatives; scanned on a grid of about n_samples points over the
@@ -282,23 +298,7 @@ def suite_einstein(seed: int = 4, n_samples: int = 10000) -> SuiteResult:
     """
     rng = random.Random(seed)
     reps = [ModelPoint.make(list(x), list(y)) for x, y in EINSTEIN_REPRESENTATIVES]
-    rep_t = [model_tcoords(r) for r in reps]
-
-    def orbit_invariants(t: TCoords):
-        # the rotation acts with weight 3 on (t1, t2) and weight 1 on
-        # (t3, t4); scale-free invariants are the norm ratio and the
-        # normalized relative phase z1 * conj(z2)^3
-        z1, z2 = complex(t.t1, t.t2), complex(t.t3, t.t4)
-        n1, n2 = abs(z1), abs(z2)
-        total = math.hypot(n1, n2)
-        if total == 0:
-            return (0.0, 0.0, 0.0)
-        if n1 < 1e-12 * total or n2 < 1e-12 * total:
-            return (n1 / total, 0.0, 0.0)
-        w = z1 * z2.conjugate() ** 3 / (n1 * n2 ** 3)
-        return (n1 / total, w.real, w.imag)
-
-    rep_inv = [orbit_invariants(t) for t in rep_t]
+    rep_inv = [orbit_invariants(model_tcoords(r)) for r in reps]
     # frame reflections conjugate the phase invariant and give isometric
     # structures; accept both mirror images of each representative orbit
     rep_inv += [(a, b, -c) for a, b, c in rep_inv]

@@ -8,8 +8,9 @@ import warnings
 
 import pytest
 
+from so3g2 import cli
 from so3g2.binaryform import BinaryForm
-from so3g2.cli import main, parse_scalar
+from so3g2.cli import build_parser, main, parse_scalar
 from so3g2.flow import integrate_line
 from so3g2.g2 import assemble_g2
 from so3g2.verify import ALL_SUITES, SAMPLED_SUITES
@@ -219,6 +220,56 @@ def exit_code(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def outcome(run, argv):
+    """(exit code, stdout) of run(argv), with stderr swallowed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_build_parser_is_shared():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls():
+    """The same argv gives the same exit code and output whatever ran
+    before it in the process, --format csv included."""
+    curvature = ["curvature", "--x", "1,0", "--y", "1,0,-1"]
+    missing_y = ["curvature", "--x", "1,0"]
+    classify = ["classify", "--x", "1/2,0", "--y", "1/3,0,-1/3"]
+    as_csv = ["bs-metric", "--z", "0,1", "--format", "csv"]
+    as_json = ["bs-metric", "--z", "0,1"]
+    first = {tuple(a): outcome(main, a)
+             for a in (curvature, missing_y, classify, as_csv, as_json)}
+    second = {tuple(a): outcome(main, a)
+              for a in (as_csv, as_json, missing_y, classify, curvature)}
+    assert first == second
+    assert first[tuple(curvature)][0] == 0 and first[tuple(missing_y)] == (2, "")
+    assert json.loads(first[tuple(as_json)][1])["rows"][1][0] == 1.0
+    assert first[tuple(as_csv)][1].startswith("z,base_coefficient")
+
+
+@pytest.mark.parametrize("command", [[], ["classify"], ["curvature"], ["flow"], ["bs-metric"],
+                                     ["endpoints"], ["contract"], ["verify"]])
+def test_help_of_shared_parser_matches_a_fresh_one(command):
+    argv = command + ["--help"]
+    code, text = outcome(main, argv)
+    assert code == 0 and text.startswith("usage: so3g2")
+    assert (code, text) == outcome(build_parser.__wrapped__().parse_args, argv)
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch):
+    build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_curvature", lambda args: seen.append(args) or 7)
+    assert main(["curvature", "--x", "1,0", "--y", "1,0,-1"]) == 7
+    assert [(a.x, a.y) for a in seen] == [("1,0", "1,0,-1")]
 
 
 def test_parse_scalar_rejects_non_finite():

@@ -19,7 +19,8 @@ from so3g2.curvature import (
     riemann_tensor,
 )
 from so3g2.exterior import CEOperator, KForm
-from so3g2.variety import ModelPoint, structure_constants
+from so3g2.variety import ModelPoint, act_on_point, structure_constants
+from so3g2.verify import EINSTEIN_REPRESENTATIVES, _so2, orbit_invariants
 
 
 def test_tcoords_bijection(rng):
@@ -124,6 +125,15 @@ def test_einstein_locus_representatives():
         assert einstein_locus_check(m)
         assert levi_civita_oracle(structure_constants(m)).scalar > 0
     assert not einstein_locus_check(ModelPoint.make([1.0, 0.0], [0.0, 0.0, 1.0]))
+
+
+def test_orbit_invariants_are_constant_on_rotation_orbits():
+    for x, y in EINSTEIN_REPRESENTATIVES:
+        m = ModelPoint.make([float(v) for v in x], [float(v) for v in y])
+        inv = orbit_invariants(model_tcoords(m))
+        for theta in (0.3, 1.1, 2.0, 4.5):
+            moved = orbit_invariants(model_tcoords(act_on_point(_so2(theta), m)))
+            assert max(abs(a - b) for a, b in zip(inv, moved)) < 1e-12, (x, y, theta)
 
 
 def test_conformally_flat_iff_flat(rng):

@@ -134,6 +134,30 @@ def test_smoothness_cases():
     assert abs(obs - (1.0 - 3.0 ** (1.0 / 3.0))) < 1e-8
 
 
+def test_bs_metric_float_powers_match_fraction_exponents():
+    for lam, z in ((1.0, 0.0), (1.0, 0.37), (2.5, -1.3), (0.2, 7.0)):
+        r = 3 * (z * z + lam)
+        want = [r ** Fraction(2, 3)] * 3 + [4 * z ** 0 * r ** Fraction(-1, 3)] * 4
+        assert list(np.diag(bs_metric(lam, z))) == want
+    # exact and symbolic bases keep the Fraction exponent
+    exact = case3_family(Fraction(1, 3)).value(Power(1, 1, Fraction(-1)), Fraction(1))
+    assert exact == Fraction(1, 4) and isinstance(exact, Fraction)
+    sp = pytest.importorskip("sympy")
+    z, lam = sp.symbols("z lam", positive=True)
+    fam = case3_family(lam)
+    assert fam.value(fam.base, z) == (3 * (z ** 2 + lam)) ** sp.Rational(2, 3)
+
+
+def test_smoothness_obstruction_names_a_pole():
+    fam = MetricFamily(1.0, Power(1.0, 0, 0), Power(1.0, 1, 0), Power(1.0, 0, 0))
+    assert not smoothness_check(fam)
+    with pytest.raises(ValueError, match="angular coefficient has a pole at z = 0"):
+        smoothness_obstruction(fam)
+    fam = MetricFamily(1.0, Power(1.0, 0, 0), Power(1.0, 2, 0), Power(1.0, -1, 0))
+    with pytest.raises(ValueError, match="radial coefficient has a pole at z = 0"):
+        smoothness_obstruction(fam)
+
+
 def test_smoothness_rejects_odd_component():
     fam = MetricFamily(1.0, base=Power(1.0, 1, 0), fib=Power(0.25, 2, 0),
                        rad=Power(1.0, 0, 0))
