@@ -39,17 +39,18 @@ def _integer_copy(m):
     inexact = not is_exact(v for row in a for v in row)
     scale = 1
     for i, row in enumerate(a):
-        row = _ratios(row)
-        s = math.lcm(*(den for _, den in row))
-        a[i] = [num * (s // den) for num, den in row]
+        a[i], s = scale_to_ints(row)
         scale *= s
     return a, scale, inexact
 
 
-def _ratios(row):
-    """Exact (numerator, denominator) Python-int pairs of the entries."""
+def scale_to_ints(values):
+    """(ints, s): the values times s, the lcm of their exact denominators,
+    as Python ints."""
     # int(): a Fraction made from a numpy int keeps numpy parts
-    return [(int(f.numerator), int(f.denominator)) for f in map(Fraction, row)]
+    ratios = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, values)]
+    s = math.lcm(*(den for _, den in ratios))
+    return [num * (s // den) for num, den in ratios], s
 
 
 def mat_det(m):
@@ -181,9 +182,9 @@ def _symmetric_integer_copy(m):
     common scale keeps both symmetry and signature."""
     if all(type(v) is int for row in m for v in row):
         return [list(row) for row in m]
-    a = [_ratios(row) for row in m]
-    s = math.lcm(*(den for row in a for _, den in row))
-    return [[num * (s // den) for num, den in row] for row in a]
+    flat, _ = scale_to_ints([v for row in m for v in row])
+    n = len(m)
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
 
 
 def _congruence_swap(a, i, j):

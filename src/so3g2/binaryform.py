@@ -76,6 +76,14 @@ class BinaryForm:
             return BinaryForm(deg, out)
         return other * self
 
+    def __pow__(self, n: int) -> "BinaryForm":
+        if n < 0:
+            raise ValueError("exponent must be nonnegative")
+        out = BinaryForm(0, [1])
+        for _ in range(n):
+            out = out * self
+        return out
+
     def __call__(self, u1: Scalar, u2: Scalar) -> Scalar:
         k = self.degree
         total: Scalar = 0
@@ -104,16 +112,9 @@ class BinaryForm:
         f1 = BinaryForm(1, [m11, m12])
         f2 = BinaryForm(1, [m21, m22])
         out = BinaryForm.zero(self.degree)
-        one = BinaryForm(0, [1])
         for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = one
-            for _ in range(self.degree - j):
-                term = term * f1
-            for _ in range(j):
-                term = term * f2
-            out = out + c * term
+            if c != 0:
+                out = out + c * (f1 ** (self.degree - j) * f2 ** j)
         return out
 
     def to_float(self) -> "BinaryForm":

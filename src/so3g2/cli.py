@@ -180,7 +180,7 @@ def cmd_flow(args) -> int:
         probe = 1e-6 * max(1.0, args.s_max)
         direction = 1 if float(_poly_eval(poly, probe)) > 0 else -1
     roots = _poly_real_roots(poly)
-    hits = [r for r, _ in roots if 1e-12 < r * direction <= args.s_max]
+    hits = [r for r, _ in roots if 0 < r * direction <= args.s_max]
     # a boundary root is passed as the end itself, so the clock sees its multiplicity
     s_end = min(hits, key=abs) if hits else direction * args.s_max
     svals = [s_end * (i + 1) / args.steps for i in range(args.steps - 1)] + [s_end]

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy import integrate as _sciint
 
-from ._exact import mat_rank, nullspace
+from ._exact import mat_rank, nullspace, scale_to_ints
 from .binaryform import BinaryForm, GL2, discriminant, hessian, q_invert, q_map
 from .exterior import CEOperator, apply_d, wedge
 from .stableform import (
@@ -77,27 +77,11 @@ def line_cubic(q0: BinaryForm, p: BinaryForm, s) -> BinaryForm:
 def line_discriminant_poly(q0: BinaryForm, p: BinaryForm):
     """Coefficients [c4, c3, c2, c1, c0] of Delta(q0 + s p) as a polynomial in s.
 
-    Exact when the inputs are exact: each coefficient of the moving cubic
-    is a degree-one polynomial in s and the discriminant is expanded
-    through binary-form products in (s, 1).
+    The discriminant of the cubic whose coefficients are the linear forms
+    p_i s + q0_i in (s, 1); exact when the inputs are exact.
     """
-    qs = [BinaryForm(1, [pv, qv]) for qv, pv in zip(q0.coeffs, p.coeffs)]
-    q1, q2, q3, q4 = qs
-
-    def power(f, n):
-        out = BinaryForm(0, [1])
-        for _ in range(n):
-            out = out * f
-        return out
-
-    expr = (
-        power(q2, 2) * power(q3, 2)
-        - 4 * (q1 * power(q3, 3))
-        - 4 * (power(q2, 3) * q4)
-        + 18 * (q1 * q2 * q3 * q4)
-        - 27 * (power(q1, 2) * power(q4, 2))
-    )
-    return list(expr.coeffs)
+    return list(discriminant(BinaryForm(3, [BinaryForm(1, [pv, qv])
+                                            for qv, pv in zip(q0.coeffs, p.coeffs)])).coeffs)
 
 
 def _poly_eval(coeffs, s):
@@ -170,36 +154,88 @@ def _square_free_split(coeffs):
 def _poly_real_roots(coeffs) -> list[tuple[float, int]]:
     """Sorted (root, multiplicity) pairs of the real roots.
 
-    Leading coefficients below 1e-14 of the largest are dropped as
-    rounding residue of a degree drop.  Multiplicities come from the
-    exact square-free split; each root is then polished by Newton's
-    method on its own factor, where it is simple.
+    Leading coefficients at or below 1e-14 of the largest are dropped as
+    rounding residue of a degree drop.  The rest is decided exactly, on
+    the rational values of the coefficients: the square-free split gives
+    the multiplicities, and on each of its factors a Sturm chain counts
+    and isolates the real roots and bisection with exact signs narrows
+    each one to two adjacent floats.  A root is returned as the nearer of
+    them, so correctly rounded; a root that is a float is returned as
+    itself.
     """
     scale = max((abs(c) for c in coeffs), default=0)
     trimmed = list(coeffs)
     while trimmed and abs(trimmed[0]) <= 1e-14 * scale:
         trimmed.pop(0)
-    out = []
-    for factor, k in _square_free_split(trimmed):
-        work = [float(c) for c in factor]
-        for r in np.roots(work):
-            if abs(r.imag) <= 1e-6 * (1 + abs(r.real)):
-                out.append((_newton(work, float(r.real)), k))
-    return sorted(out)
+    return sorted((r, k) for factor, k in _square_free_split(trimmed)
+                  for r in _factor_roots(factor))
 
 
-def _newton(coeffs, r: float) -> float:
-    """Newton iteration from r on a polynomial with a simple root near r."""
-    der = _poly_deriv(coeffs)
-    for _ in range(60):
-        fp = _poly_eval(der, r)
-        if fp == 0:
-            break
-        step = _poly_eval(coeffs, r) / fp
-        r -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(r)):
-            break
-    return r
+def _factor_roots(factor) -> list[float]:
+    """The real roots of a square-free polynomial (Sturm 1829).
+
+    The chain is f, f', then the negated remainders, each scaled to
+    Python ints by a positive factor, so every sign is exact.  By Sturm's
+    theorem V(a) - V(b) roots lie in (a, b], where V counts the sign
+    changes along the chain.  All roots lie in (-2^b, 2^b] by Cauchy's
+    bound; intervals are halved at floats until each holds one root,
+    which bisection on f itself then narrows until the midpoint is an
+    end.  Roots closer than one ulp share a float.
+    """
+    chain = [factor, _poly_deriv(factor)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+    chain = [scale_to_ints(p)[0] for p in chain]
+    f = chain[0]
+    lead = abs(f[0])
+    bound = float(2 ** ((lead + max(map(abs, f[1:]))) // lead).bit_length())
+
+    def variations(x):
+        signs = [v for v in (_sign_at(p, x) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    roots = []
+    todo = [(-bound, bound, variations(-bound), variations(bound))]
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        mid = 0.5 * (lo + hi)
+        if v_lo - v_hi == 1:
+            roots.append(_bisect(f, lo, hi))
+        elif v_lo - v_hi > 1 and lo < mid < hi:
+            v_mid = variations(mid)
+            todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+        elif v_lo > v_hi:
+            roots += [mid] * (v_lo - v_hi)
+    return roots
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """The float nearest the one root of f in (lo, hi]."""
+    sign_hi = _sign_at(f, hi)
+    if sign_hi == 0:
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:   # adjacent floats: the nearer one
+            return lo if _sign_at(f, (F(lo) + F(hi)) / 2) == sign_hi else hi
+        sign = _sign_at(f, mid)
+        if sign == 0:
+            return mid
+        if sign == sign_hi:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _sign_at(poly, x) -> int:
+    """Exact sign of an int polynomial at a float or Fraction: with
+    x = n/d, the sign of d^deg poly(x), a homogeneous Horner sum on ints."""
+    n, d = x.as_integer_ratio()
+    total, power = 0, 1
+    for c in poly:
+        total = total * n + c * power
+        power *= d
+    return (total > 0) - (total < 0)
 
 
 def time_integral(q0: BinaryForm, p: BinaryForm, s_from: float, s_to: float) -> float:
@@ -259,11 +295,10 @@ def _taylor_shift(poly, end, sign: int) -> list[float]:
     denominator it runs on Python ints, and each coefficient is rounded
     once at the end.
     """
-    ratios = [c.as_integer_ratio() for c in poly]
+    ints, den = scale_to_ints(poly)
     n, d = end.as_integer_ratio()
-    den = math.lcm(*(q for _, q in ratios))
     # den d^deg poly(y / d) has integer coefficients
-    work = [p * (den // q) * d ** i for i, (p, q) in enumerate(ratios)]
+    work = [c * d ** i for i, c in enumerate(ints)]
     scale = den * d ** (len(work) - 1)
     out = []
     while work:
@@ -578,28 +613,29 @@ def _line_enters_positive(poly) -> bool:
 # non-completeness witness
 # ---------------------------------------------------------------------------
 
-def no_complete_line_witness(p: BinaryForm) -> float:
-    """A concrete s with Delta(Q0 + s p) <= 0 for nonzero half-flat p.
+def no_complete_line_witness(p: BinaryForm) -> tuple[float, int]:
+    """An exact certificate that Delta(Q0 + s p) reaches 0, for nonzero half-flat p.
 
-    Prefers a strictly negative value when the discriminant polynomial
-    is eventually negative; otherwise returns a real root.
+    The line is taken exactly, with the values of p as rationals.  Returns
+    (s, 0) for a float s with Delta(s) < 0, or else (r, k) for a real root
+    r of multiplicity k from _poly_real_roots.  As Delta(Q0) = 4/3, the
+    line leaves Delta > 0 at a real root; where its multiplicity is odd,
+    Delta has opposite signs at the floats next to r.  So r is the
+    certificate only at roots of even multiplicity, or at roots that no
+    float separates.
     """
     if p.is_zero():
         raise ValueError("p must be nonzero")
     if not is_halfflat_cubic(p, tol=1e-10):
         raise ValueError("p must satisfy the half-flat condition l2 = l4")
-    poly = [float(c) for c in line_discriminant_poly(Q0, p)]
-    scale = max(abs(c) for c in poly) or 1.0
-    trimmed = poly[:]
-    while trimmed and abs(trimmed[0]) <= 1e-13 * scale:
-        trimmed.pop(0)
-    roots = [r for r, _ in _poly_real_roots(poly)]
-    if trimmed and trimmed[0] < 0:
-        # eventually negative: step past the largest root
-        edge = max(roots) + 1.0 if roots else 1.0
-        while _poly_eval(poly, edge) > 0:
-            edge *= 2.0
-        return edge
+    ints, _ = scale_to_ints(Q0.coeffs + p.coeffs)
+    # Delta is quartic in the coefficients: this is d^4 Delta(Q0 + s p) on ints
+    poly = line_discriminant_poly(BinaryForm(3, ints[:4]), BinaryForm(3, ints[4:]))
+    roots = _poly_real_roots(poly)
+    for r, _ in roots:
+        for s in (math.nextafter(r, -math.inf), math.nextafter(r, math.inf)):
+            if _poly_eval(poly, F(s)) < 0:
+                return s, 0
     if roots:
         return roots[0]
     raise ArithmeticError("half-flat line with everywhere-positive discriminant")

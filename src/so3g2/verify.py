@@ -505,18 +505,31 @@ def suite_case2_stated() -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def suite_noncomplete(seed: int = 7, n_samples: int = 100) -> SuiteResult:
+    """Criterion 9 on sampled lines, each witness checked on the exact line:
+    Delta(s) < 0 in Fractions, or a real root.  The residual is the
+    largest Delta at a witness (0 at a root)."""
     rng = random.Random(seed)
-    worst = 0.0
+    values, kinds = [], [0, 0]
+    certified = True
     for _ in range(n_samples):
         lam = [rng.uniform(-2, 2) for _ in range(3)]
         p = BinaryForm(3, [lam[0], lam[1], lam[2], lam[1]])
         if p.norm() < 0.05:
             continue
-        s = no_complete_line_witness(p)
-        val = float(discriminant(line_cubic(Q0.to_float(), p, s)))
-        worst = max(worst, val)
-    return SuiteResult("non-completeness", worst <= 1e-6, worst, 1e-6,
-                       f"{n_samples} half-flat directions")
+        s, k = no_complete_line_witness(p)
+        exact = BinaryForm(3, [F(c) for c in p.coeffs])
+        if k == 0:
+            val = discriminant(line_cubic(Q0, exact, F(s)))
+            certified = certified and val < 0
+        else:
+            val = 0
+            certified = certified and (s, k) in _poly_real_roots(
+                line_discriminant_poly(Q0, exact))
+        values.append(float(val))
+        kinds[k > 0] += 1
+    return SuiteResult("non-completeness", certified, max(values, default=0.0), 0.0,
+                       f"{len(values)} of {n_samples} half-flat directions certified "
+                       f"exactly: {kinds[0]} with Delta(s) < 0, {kinds[1]} at a root")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,15 @@ def rand_gl2(rng, span=2.0):
             return g
 
 
+def test_power_is_repeated_product():
+    f = BinaryForm(1, [F(2), F(-3)])
+    assert f ** 0 == BinaryForm(0, [1])
+    assert f ** 3 == f * f * f
+    assert (U1 + U2) ** 2 == BinaryForm(2, [1, 2, 1])
+    with pytest.raises(ValueError):
+        f ** -1
+
+
 def test_act_identity():
     f = BinaryForm(3, [F(1), F(2), F(3), F(4)])
     assert act(GL2.identity(), f) == f

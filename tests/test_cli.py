@@ -138,6 +138,24 @@ def test_flow_g2_samples_are_those_of_the_sampled_line(capsys):
     assert samples == json.loads(json.dumps([s.to_json() for s in assemble_g2(traj)]))
 
 
+def test_flow_stops_at_a_boundary_root_next_to_the_start(capsys):
+    # Delta = 4 (10^-13 - s): the simple root at s = 10^-13 ends the line
+    code, out = run_cli(capsys, "flow", "--p=-1,0,0,0", "--q0=1/10000000000000,0,-1,0",
+                        "--direction", "1", "--steps", "4")
+    assert code == 0
+    data = json.loads(out)
+    assert [row[0] for row in data["rows"]][-1] == 1e-13
+    assert all(row[7] >= 0 for row in data["rows"])
+    assert data["endpoint"]["kind"] == "not attained"
+
+
+def test_flow_from_an_admissible_endpoint_leaves_s_0(capsys):
+    # Delta = -4 (2 + s) s^3: the triple root s = 0 is the start, not a boundary
+    code, out = run_cli(capsys, "flow", "--q0", "2,0,0,0", "--p", "1,0,1,0", "--steps", "4")
+    assert code == 0
+    assert [row[0] for row in json.loads(out)["rows"]] == [-0.5, -1.0, -1.5, -2.0]
+
+
 def test_flow_rejects_bad_initial_data(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["flow", "--p", "1,0,0,0", "--q0", "1,0,0,0", "--s-max", "1"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
+from so3g2 import verify
 from so3g2.binaryform import BinaryForm, GL2, act, discriminant, q_invert, q_map
 from so3g2.cli import main
 from so3g2.flow import (
@@ -256,20 +258,39 @@ def test_endpoint_nondividing_triple_root_rejected():
                           BinaryForm(3, [0.0, 0.0, 0.0, 2.0]))
 
 
+def _certified(p, s, k):
+    """Whether (s, k) from no_complete_line_witness certifies Delta <= 0 on
+    the exact line: Delta(s) < 0 in Fractions, or a real root of even
+    multiplicity."""
+    exact = BinaryForm(3, [F(c) for c in p.coeffs])
+    if k == 0:
+        return discriminant(line_cubic(Q0, exact, F(s))) < 0
+    return k % 2 == 0 and (s, k) in _poly_real_roots(line_discriminant_poly(Q0, exact))
+
+
 def test_no_complete_line_witness_examples():
-    s = no_complete_line_witness(BinaryForm(3, [1.0, 0.0, 0.0, 0.0]))
+    p = BinaryForm(3, [1.0, 0.0, 0.0, 0.0])
+    s, k = no_complete_line_witness(p)
     assert abs(s + 1.0 / 3.0) < 1e-8
+    assert k == 0 and _certified(p, s, k)
     # the Hermitian-containing direction has negative leading coefficient
     p = BinaryForm(3, [1.0, 0.0, 1.0, 0.0])
     poly = [float(c) for c in line_discriminant_poly(Q0.to_float(), p)]
     assert poly[0] < 0
-    s = no_complete_line_witness(p)
+    s, k = no_complete_line_witness(p)
     assert float(discriminant(line_cubic(Q0.to_float(), p, s))) < 0
+    assert k == 0 and _certified(p, s, k)
     # the split direction has a real zero
-    s = no_complete_line_witness(BinaryForm(3, [1.0, 0.0, -1.0, 0.0]))
-    assert float(discriminant(line_cubic(Q0.to_float(),
-                                         BinaryForm(3, [1.0, 0.0, -1.0, 0.0]),
-                                         s))) < 1e-8
+    p = BinaryForm(3, [1.0, 0.0, -1.0, 0.0])
+    s, k = no_complete_line_witness(p)
+    assert float(discriminant(line_cubic(Q0.to_float(), p, s))) < 1e-8
+    assert _certified(p, s, k)
+
+
+def test_no_complete_line_witness_at_an_even_root():
+    # p = -Q0 runs into the zero cubic: Delta = (4/3)(1 - s)^4 is never negative
+    p = BinaryForm(3, [F(-1, 3), 0, 1, 0])
+    assert no_complete_line_witness(p) == (1.0, 4)
 
 
 def test_no_complete_line_witness_random():
@@ -278,8 +299,18 @@ def test_no_complete_line_witness_random():
         p = halfflat_cubic(rng)
         if p.norm() < 0.05:
             continue
-        s = no_complete_line_witness(p)
+        s, k = no_complete_line_witness(p)
         assert float(discriminant(line_cubic(Q0.to_float(), p, s))) <= 1e-6
+        assert _certified(p, s, k), p
+
+
+@pytest.mark.parametrize("forged", [(0.0, 0), (0.0, 2)])
+def test_noncomplete_suite_rejects_a_forged_witness(monkeypatch, forged):
+    # Delta(Q0) = 4/3: s = 0 is neither a negative point nor a root
+    monkeypatch.setattr(verify, "no_complete_line_witness", lambda p: forged)
+    assert not verify.suite_noncomplete(n_samples=5).passed
+    monkeypatch.undo()
+    assert verify.suite_noncomplete(n_samples=5).passed
 
 
 def test_no_complete_line_witness_preconditions():
@@ -495,6 +526,20 @@ def test_square_free_split_matches_sympy(kind):
         assert got == want, poly
 
 
+def test_line_discriminant_poly_against_sympy():
+    sp = pytest.importorskip("sympy")
+    s, t = sp.symbols("s t")
+    rng = random.Random(8)
+    for _ in range(5):
+        q0, p = (BinaryForm(3, [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)])
+                 for _ in range(2))
+        cubic = sum((sp.Rational(*a.as_integer_ratio()) + s * sp.Rational(*b.as_integer_ratio()))
+                    * t ** (3 - i) for i, (a, b) in enumerate(zip(q0.coeffs, p.coeffs)))
+        want = sp.Poly(sp.discriminant(cubic, t), s).all_coeffs()
+        got = line_discriminant_poly(q0, p)
+        assert got[len(got) - len(want):] == want and not any(got[:len(got) - len(want)])
+
+
 def test_real_roots_carry_exact_multiplicities():
     # the zero cubic on a line: Delta = 4 (s - 3/2)^4
     poly = line_discriminant_poly(BinaryForm(3, [F(-3, 2), 0, F(3, 2), 0]),
@@ -503,6 +548,79 @@ def test_real_roots_carry_exact_multiplicities():
     # a leading coefficient at rounding level is a degree drop
     assert _poly_real_roots([1e-20, 1.0, -2.0, 1.0]) == [(1.0, 2)]
     assert _poly_real_roots([5]) == []
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, -2.0, 1 + 1e-12], [1, -2, 1 + F(1, 10 ** 12)]])
+def test_real_roots_of_a_tangency_example_do_not_exist(coeffs):
+    # s^2 - 2 s + 1 + eps has its minimum +eps at s = 1
+    assert _poly_real_roots(coeffs) == []
+
+
+def test_real_roots_are_exact_floats_where_possible():
+    assert _poly_real_roots([1, 0, 0]) == [(0.0, 2)]
+    assert _poly_real_roots([4, 0, -1]) == [(-0.5, 1), (0.5, 1)]
+    assert _poly_real_roots([1, 0, -2]) == [(-math.sqrt(2), 1), (math.sqrt(2), 1)]
+
+
+def test_real_roots_match_sympy():
+    """Counts and multiplicities against sympy's real_roots on int and
+    rational polynomials of degree <= 4: random, (s - a)^2 g +- eps, or a
+    cluster a, a + delta, ... of close roots; each root lies between the
+    floats next to it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sp = pytest.importorskip("sympy")
+
+    def rational(v):
+        return sp.Rational(*F(v).as_integer_ratio())
+
+    @st.composite
+    def polys(draw):
+        rat = st.builds(F, st.integers(-48, 48), st.integers(1, 12))
+        lead = draw(st.builds(F, st.integers(1, 48), st.integers(-12, -1) | st.integers(1, 12)))
+        kind = draw(st.sampled_from(["random", "tangent", "cluster"]))
+        if kind == "random":
+            poly = [lead] + [draw(rat) for _ in range(draw(st.integers(0, 4)))]
+        elif kind == "tangent":
+            a = draw(rat)
+            poly = _poly_mul(_poly_mul([1, -a], [1, -a]),
+                             [lead] + [draw(rat) for _ in range(draw(st.integers(0, 2)))])
+            poly[-1] += draw(st.sampled_from((1, -1))) * F(1, 10 ** draw(st.integers(3, 30)))
+        else:
+            a, delta = draw(rat), F(1, 10 ** draw(st.integers(1, 12)))
+            poly = [lead]
+            for i in range(draw(st.integers(2, 4))):
+                poly = _poly_mul(poly, [1, -(a + i * delta)])
+        if draw(st.booleans()):
+            den = math.lcm(*(F(c).denominator for c in poly))
+            poly = [int(c * den) for c in poly]
+        return poly
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @hypothesis.given(polys())
+    def check(poly):
+        ref = sp.Poly([rational(c) for c in poly], sp.symbols("x"))
+        want = [len(list(g)) for _, g in itertools.groupby(ref.real_roots())]
+        got = _poly_real_roots(poly)
+        assert [k for _, k in got] == want, (poly, got)
+        for r, _ in got:
+            assert ref.count_roots(rational(math.nextafter(r, -math.inf)),
+                                   rational(math.nextafter(r, math.inf))) >= 1, (poly, r)
+
+    check()
+
+
+def test_real_roots_on_float_lines_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(13)
+    with mpmath.workdps(60):
+        for _ in range(50):
+            poly = line_discriminant_poly(Q0.to_float(), halfflat_cubic(rng))
+            ref = sorted(float(z.real) for z in mpmath.polyroots(poly)
+                         if abs(z.imag) <= mpmath.mpf(10) ** -40)
+            got = [r for r, k in _poly_real_roots(poly) for _ in range(k)]
+            # correctly rounded, so well within 4 ulp
+            assert got == ref, (poly, got, ref)
 
 
 @pytest.mark.parametrize("scalar", [F, float])
