@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._exact import scale_to_ints
 from .binaryform import BinaryForm, discriminant, resultant
 from .curvature import levi_civita_oracle
 from .flow import (
@@ -179,7 +180,7 @@ def cmd_flow(args) -> int:
     if direction == 0:
         probe = 1e-6 * max(1.0, args.s_max)
         direction = 1 if float(_poly_eval(poly, probe)) > 0 else -1
-    roots = _poly_real_roots(poly)
+    scaled, roots = scale_to_ints(poly), _poly_real_roots(poly)
     hits = [r for r, _ in roots if 0 < r * direction <= args.s_max]
     # a boundary root is passed as the end itself, so the clock sees its multiplicity
     s_end = min(hits, key=abs) if hits else direction * args.s_max
@@ -189,7 +190,7 @@ def cmd_flow(args) -> int:
     prev = 0.0
     for s in svals:
         q = line_cubic(q0, p, s)
-        t += _time_integral(poly, roots, prev, s)
+        t += _time_integral(scaled, roots, prev, s)
         prev = s
         rows.append([s, t] + [float(v) for v in q.coeffs]
                     + [clock_detg(q), float(discriminant(q))])

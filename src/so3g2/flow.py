@@ -24,11 +24,11 @@ from scipy import integrate as _sciint
 
 from ._exact import mat_rank, nullspace, scale_to_ints
 from .binaryform import BinaryForm, GL2, discriminant, hessian, q_invert, q_map
-from .exterior import CEOperator, apply_d, wedge
+from .exterior import BASIS, CEOperator, KForm, apply_d, wedge
 from .stableform import (
+    B3_MATRIX,
     SIGMA,
-    cubic_to_3form,
-    hitchin_dual,
+    hitchin_dual_rows,
     threeform_to_cubic,
     volume_gamma,
 )
@@ -154,8 +154,9 @@ def _square_free_split(coeffs):
 def _poly_real_roots(coeffs) -> list[tuple[float, int]]:
     """Sorted (root, multiplicity) pairs of the real roots.
 
-    Leading coefficients at or below 1e-14 of the largest are dropped as
-    rounding residue of a degree drop.  The rest is decided exactly, on
+    When a coefficient is a float, leading coefficients at or below 1e-14
+    of the largest are dropped as rounding residue of a degree drop; exact
+    coefficients are kept as they are.  The rest is decided exactly, on
     the rational values of the coefficients: the square-free split gives
     the multiplicities, and on each of its factors a Sturm chain counts
     and isolates the real roots and bisection with exact signs narrows
@@ -163,10 +164,11 @@ def _poly_real_roots(coeffs) -> list[tuple[float, int]]:
     them, so correctly rounded; a root that is a float is returned as
     itself.
     """
-    scale = max((abs(c) for c in coeffs), default=0)
     trimmed = list(coeffs)
-    while trimmed and abs(trimmed[0]) <= 1e-14 * scale:
-        trimmed.pop(0)
+    if any(isinstance(c, float) for c in coeffs):
+        scale = max(abs(c) for c in coeffs)
+        while trimmed and abs(trimmed[0]) <= 1e-14 * scale:
+            trimmed.pop(0)
     return sorted((r, k) for factor, k in _square_free_split(trimmed)
                   for r in _factor_roots(factor))
 
@@ -246,24 +248,24 @@ def time_integral(q0: BinaryForm, p: BinaryForm, s_from: float, s_to: float) -> 
     integrable singularity of known order, removed by a power substitution.
     """
     poly = line_discriminant_poly(q0, p)
-    return _time_integral(poly, _poly_real_roots(poly), s_from, s_to)
+    return _time_integral(scale_to_ints(poly), _poly_real_roots(poly), s_from, s_to)
 
 
-def _time_integral(poly, roots, s_from: float, s_to: float) -> float:
+def _time_integral(scaled, roots, s_from: float, s_to: float) -> float:
     """time_integral on the line whose discriminant polynomial is poly,
-    with roots = _poly_real_roots(poly); an end equal to one of the roots
-    takes that root's multiplicity."""
+    with scaled = scale_to_ints(poly) and roots = _poly_real_roots(poly);
+    an end equal to one of the roots takes that root's multiplicity."""
     if s_from == s_to:
         return 0.0
     mult = dict(roots)
     a, b = sorted((s_from, s_to))
     mid = 0.5 * (a + b)
-    total = (_half_integral(poly, a, mid, mult.get(a, 0))
-             + _half_integral(poly, b, mid, mult.get(b, 0)))
+    total = (_half_integral(scaled, a, mid, mult.get(a, 0))
+             + _half_integral(scaled, b, mid, mult.get(b, 0)))
     return total if s_from < s_to else -total
 
 
-def _half_integral(poly, end, other, k: int) -> float:
+def _half_integral(scaled, end, other, k: int) -> float:
     """Integral of (3/4 Delta)^(-1/6) between end, a root of multiplicity k
     (0 if none), and other, where Delta is positive.
 
@@ -273,7 +275,7 @@ def _half_integral(poly, end, other, k: int) -> float:
     integrand becomes e (3/4 h(v^e))^(-1/6), which is bounded.
     """
     width = abs(other - end)
-    shifted = _taylor_shift(poly, end, 1 if other > end else -1)
+    shifted = _taylor_shift(scaled, end, 1 if other > end else -1)
     h = shifted[:len(shifted) - k]
     expo = 6.0 / (6.0 - k)
 
@@ -288,14 +290,15 @@ def _half_integral(poly, end, other, k: int) -> float:
     return val
 
 
-def _taylor_shift(poly, end, sign: int) -> list[float]:
-    """Coefficients, highest degree first, of poly(end + sign * u) in u.
+def _taylor_shift(scaled, end, sign: int) -> list[float]:
+    """Coefficients, highest degree first, of poly(end + sign * u) in u,
+    with scaled = (ints, den) = scale_to_ints(poly).
 
-    The shift is exact: with end = n/d and the coefficients over a common
-    denominator it runs on Python ints, and each coefficient is rounded
-    once at the end.
+    The shift is exact: with end = n/d and the coefficients over their
+    common denominator it runs on Python ints, and each coefficient is
+    rounded once at the end.
     """
-    ints, den = scale_to_ints(poly)
+    ints, den = scaled
     n, d = end.as_integer_ratio()
     # den d^deg poly(y / d) has integer coefficients
     work = [c * d ** i for i, c in enumerate(ints)]
@@ -323,7 +326,7 @@ def advance(state: FlowState, ds: float):
     if hits:
         s_target = min(hits, key=abs)
         clamped = True
-    dt = _time_integral(poly, roots, 0.0, s_target)
+    dt = _time_integral(scale_to_ints(poly), roots, 0.0, s_target)
     q_new = line_cubic(state.q, state.p, s_target)
     return (
         FlowState(q=q_new, p=state.p, s=state.s + s_target, t=state.t + dt,
@@ -410,7 +413,7 @@ def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
     """
     traj = Trajectory(p=p, q_start=q_start)
     poly = line_discriminant_poly(q_start, p)
-    roots = _poly_real_roots(poly)
+    scaled, roots = scale_to_ints(poly), _poly_real_roots(poly)
     prev_g = None
     prev_s = None
     t = 0.0
@@ -420,7 +423,7 @@ def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
         if disc <= 0:
             raise ValueError(f"discriminant not positive at s={s}")
         if prev_s is not None:
-            t += _time_integral(poly, roots, prev_s, s)
+            t += _time_integral(scaled, roots, prev_s, s)
         g = _nearest_frame(q, prev_g)
         traj.states.append(FlowState(q=q, p=p, s=float(s), t=t, detg=clock_detg(q)))
         traj.frames.append(g)
@@ -448,8 +451,7 @@ def integrate_time_grid(p: BinaryForm, q_start: BinaryForm, s0: float,
         raise RuntimeError("time reparameterization failed")
     traj = Trajectory(p=p, q_start=q_start)
     prev_g = None
-    for t in t_grid:
-        s = float(sol.sol(t)[0])
+    for t, s in zip(t_grid, sol.sol(t_grid)[0].tolist()):
         q = line_cubic(q_start, p, s)
         g = _nearest_frame(q, prev_g)
         traj.states.append(FlowState(q=q, p=p, s=s, t=float(t), detg=clock_detg(q)))
@@ -475,11 +477,12 @@ class OracleTrajectory:
 def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60) -> OracleTrajectory:
     """Integrate gamma' = d sigma, (sigma^2)' = -2 d gamma_hat directly.
 
-    The state is the invariant 3-form gamma (four coefficients) together
-    with the coefficient c of sigma^2 against the reference sigma_0^2;
-    gamma_hat is recomputed each step through the stable-form dual.
-    Terminates with a boundary report when stability or positivity is
-    lost.  The initial frame must be half-flat.
+    The state is the invariant 3-form gamma (four coefficients, those of
+    cubic_to_3form in the B basis) together with the coefficient c of
+    sigma^2 against the reference sigma_0^2; gamma_hat is recomputed each
+    step through the stable-form dual.  Terminates with a boundary report
+    when stability or positivity is lost.  The initial frame must be
+    half-flat.
     """
     d = d.to_float()
     p_read = flow_torsion_cubic(d)
@@ -491,27 +494,18 @@ def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60) -> Or
                    float(q_init.coeffs[2]), 3.0 * float(q_init.coeffs[3]), c0])
     pv = np.array([3.0 * float(p_read.coeffs[0]), float(p_read.coeffs[1]),
                    float(p_read.coeffs[2]), 3.0 * float(p_read.coeffs[3])])
-
-    def gamma_form(y):
-        return cubic_to_3form(BinaryForm(3, [y[0] / 3.0, y[1], y[2], y[3] / 3.0]))
+    # (sigma^2)' = -2 d gamma_hat read on e^1234, where sigma_0^2 has
+    # coefficient 2: c' = -(d gamma_hat)_1234
+    d_1234 = d.d_matrix(3)[BASIS[4].index((1, 2, 3, 4))]
 
     def rhs(_t, y):
-        c = y[4]
-        detg = math.sqrt(max(c, 0.0))
-        gdot = detg * pv
-        gham = hitchin_dual(gamma_form(y))
-        dgh = apply_d(d, gham)
-        mu = float(dgh.coeffs.get((1, 2, 3, 4), 0.0)) / 2.0
-        return np.concatenate([gdot, [-2.0 * mu]])
+        ghat, stable = hitchin_dual_rows(B3_MATRIX @ y[:4])
+        if not stable:
+            raise ValueError("not stable of complex type")
+        return np.append(math.sqrt(max(y[4], 0.0)) * pv, -(d_1234 @ ghat))
 
     def stability(_t, y):
-        if y[4] <= 0:
-            return 0.0
-        try:
-            hitchin_dual(gamma_form(y))
-        except ValueError:
-            return 0.0
-        return 1.0
+        return float(y[4] > 0 and hitchin_dual_rows(B3_MATRIX @ y[:4])[1])
 
     stability.terminal = True
     stability.direction = 0
@@ -519,17 +513,16 @@ def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60) -> Or
     sol = _sciint.solve_ivp(rhs, t_span, y0, method="DOP853", rtol=1e-11, atol=1e-13,
                             dense_output=True, events=stability, max_step=abs(t_span[1] - t_span[0]) / 8)
     ts = np.linspace(t_span[0], sol.t[-1], n_samples)
-    gammas, sigma2s, qs = [], [], []
-    cs = np.zeros(len(ts))
-    for i, t in enumerate(ts):
-        y = sol.sol(t)
-        gammas.append(gamma_form(y))
-        cs[i] = y[4]
-        sigma2s.append(float(y[4]) * SIGMA2.to_float())
-        qs.append(BinaryForm(3, [y[0] / 3.0, y[1], y[2], y[3] / 3.0]))
+    ys = sol.sol(ts)
+    sigma2 = SIGMA2.to_float()
     status = "boundary" if sol.status == 1 else ("ok" if sol.status == 0 else "failed")
-    return OracleTrajectory(ts=ts, gammas=gammas, sigma2s=sigma2s, qs=qs, cs=cs,
-                            status=status)
+    return OracleTrajectory(
+        ts=ts,
+        gammas=[KForm.from_vector(3, gamma) for gamma in ys[:4].T @ B3_MATRIX.T],
+        sigma2s=[c * sigma2 for c in ys[4].tolist()],
+        qs=[BinaryForm(3, [a / 3.0, b, c, e / 3.0]) for a, b, c, e in ys[:4].T.tolist()],
+        cs=ys[4],
+        status=status)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ import numpy as np
 
 from .binaryform import GL2
 from .curvature import koszul_connection, koszul_riemann
-from .exterior import CEOperator, KForm, apply_d, wedge
-from .flow import Trajectory
-from .stableform import SIGMA, cubic_to_3form, hitchin_dual
+from .exterior import CEOperator, KForm
+from .flow import SIGMA2, Trajectory
+from .stableform import B3_MATRIX, SIGMA, hitchin_dual_rows
 from .variety import LieAlgebraClass, ModelPoint, bracket_constants, classify
 
 
@@ -78,35 +78,37 @@ def frame_metric6(g: GL2) -> np.ndarray:
     return out
 
 
+_SIGMA = SIGMA.to_float()
+_HALF_SIGMA2 = 0.5 * SIGMA2.to_float()
+
+
 def assemble_g2(traj: Trajectory) -> list[G2Sample]:
     """Build the 7-dimensional samples along a trajectory.
 
     sigma(t) = det g * sigma_0; gamma(t) is the invariant 3-form of the
-    moving cubic; gamma_hat is its stable-form dual.  When stability is
-    lost part way (the line reached its discriminant boundary) the
-    samples are truncated there with a warning.
+    moving cubic; gamma_hat is its stable-form dual, for the whole
+    trajectory in one kernel call.  When stability is lost part way (the
+    line reached its discriminant boundary) the samples are truncated
+    there with a warning.
     """
+    cubics = np.array([[float(c) for c in st.q.coeffs] for st in traj.states]).reshape(-1, 4)
+    gammas = cubics * [3.0, 1.0, 1.0, 3.0] @ B3_MATRIX.T
+    ghats, stable = hitchin_dual_rows(gammas)
+    n = len(stable) if stable.all() else int(np.argmin(stable))
+    if n < len(stable):
+        warnings.warn(f"trajectory truncated at t = {traj.states[n].t}: "
+                      "3-form no longer stable of complex type")
     samples = []
-    for st, g in zip(traj.states, traj.frames):
-        gamma = cubic_to_3form(st.q).to_float()
-        try:
-            gamma_hat = hitchin_dual(gamma)
-        except ValueError:
-            warnings.warn(f"trajectory truncated at t = {st.t}: "
-                          "3-form no longer stable of complex type")
-            break
-        sigma_t = st.detg * SIGMA.to_float()
-        half_sigma2 = 0.5 * wedge(sigma_t, sigma_t)
+    for st, g, gamma, ghat in zip(traj.states[:n], traj.frames, gammas, ghats):
+        metric7 = np.eye(7)
+        metric7[:6, :6] = frame_metric6(g)
         samples.append(G2Sample(
             t=st.t,
-            phi_space=gamma,
-            phi_dt=sigma_t,
-            star_space=half_sigma2,
-            star_dt=gamma_hat,
-            metric7=np.block([
-                [frame_metric6(g), np.zeros((6, 1))],
-                [np.zeros((1, 6)), np.ones((1, 1))],
-            ]),
+            phi_space=KForm.from_vector(3, gamma),
+            phi_dt=st.detg * _SIGMA,
+            star_space=(st.detg * st.detg) * _HALF_SIGMA2,
+            star_dt=KForm.from_vector(3, ghat),
+            metric7=metric7,
         ))
     return samples
 
@@ -124,7 +126,9 @@ def check_closedness(samples: Sequence[G2Sample], d: CEOperator,
 
     Exterior derivative in the six group directions comes from the
     algebra; the time direction uses fourth-order central differences,
-    so at least five equally spaced samples are needed.
+    so at least five equally spaced samples are needed.  Each form family
+    is stacked into one array of coefficient rows, so every d_k is one
+    matrix product.
     """
     if len(samples) < 5:
         raise ValueError("need at least 5 samples for 4th-order differences")
@@ -134,26 +138,25 @@ def check_closedness(samples: Sequence[G2Sample], d: CEOperator,
         if abs((ts[i + 1] - ts[i]) - h) > 1e-9 * max(1.0, abs(h)):
             raise ValueError("samples must be equally spaced in t")
     d = d.to_float()
+    gammas, sigmas, half_sigma2s, ghats = (
+        np.array([form.to_vector(float) for form in family])
+        for family in zip(*((s.phi_space, s.phi_dt, s.star_space, s.star_dt) for s in samples)))
+    n = len(samples)
+    inner = slice(2, n - 2)
 
-    def ddt(forms, i):
-        return central_difference(lambda k: forms[i + k], h)
+    def ddt(rows):
+        return central_difference(lambda k: rows[2 + k: n - 2 + k], h)
 
-    max_dphi = 0.0
-    max_dstar = 0.0
-    gammas = [s.phi_space for s in samples]
-    sigmas = [s.phi_dt for s in samples]
-    half_sigma2s = [s.star_space for s in samples]
-    ghats = [s.star_dt for s in samples]
-    for i in range(2, len(samples) - 2):
-        # d phi = d6 gamma + (d6 sigma - gamma') ^ dt
-        space_part = apply_d(d, gammas[i])
-        dt_part = apply_d(d, sigmas[i]) - ddt(gammas, i)
-        max_dphi = max(max_dphi, space_part.max_abs(), dt_part.max_abs())
-        # d star = d6(sigma^2/2) + (sign * d6 gamma_hat + (sigma^2/2)') ^ dt
-        space_part = apply_d(d, half_sigma2s[i])
-        dt_part = star_dt_sign * apply_d(d, ghats[i]) + ddt(half_sigma2s, i)
-        max_dstar = max(max_dstar, space_part.max_abs(), dt_part.max_abs())
-    return max_dphi, max_dstar
+    def d_rows(rows, k):
+        return rows[inner] @ d.d_matrix(k).T
+
+    # d phi = d6 gamma + (d6 sigma - gamma') ^ dt
+    dphi = max(np.abs(d_rows(gammas, 3)).max(),
+               np.abs(d_rows(sigmas, 2) - ddt(gammas)).max())
+    # d star = d6(sigma^2/2) + (sign * d6 gamma_hat + (sigma^2/2)') ^ dt
+    dstar = max(np.abs(d_rows(half_sigma2s, 4)).max(),
+                np.abs(star_dt_sign * d_rows(ghats, 3) + ddt(half_sigma2s)).max())
+    return float(dphi), float(dstar)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .binaryform import BinaryForm
-from .exterior import BASIS, DIM, KForm, _contract_wedge, pullback, wedge, wedge_all
+from .exterior import BASIS, DIM, KForm, _contract_wedge, _minor_table, wedge, wedge_all
 
 F = Fraction
 
@@ -82,6 +82,15 @@ def _k_tensor() -> np.ndarray:
 
 
 _K_TENSOR = _k_tensor()
+# K = rho rho . _K_PAIRS for a row rho, with rho rho the flat outer product
+_K_PAIRS = _K_TENSOR.reshape(DIM * DIM, -1).T
+_VOL = float(REFERENCE_VOLUME.coeffs[tuple(range(1, DIM + 1))])
+
+
+def _k_rows(rho: np.ndarray, vol_coeff: float) -> np.ndarray:
+    """K = T rho rho / vol_coeff for each row of rho, shape (..., 20)."""
+    pairs = (rho[..., :, None] * rho[..., None, :]).reshape(rho.shape[:-1] + (-1,))
+    return (pairs @ _K_PAIRS).reshape(rho.shape[:-1] + (DIM, DIM)) / vol_coeff
 
 
 def _k_matrix(rho: KForm, vol_coeff: float) -> np.ndarray:
@@ -89,8 +98,7 @@ def _k_matrix(rho: KForm, vol_coeff: float) -> np.ndarray:
 
     A identifies a 5-form with a vector: X -| vol = xi.
     """
-    v = rho.to_vector(float)
-    return _K_TENSOR @ v @ v / vol_coeff
+    return _k_rows(rho.to_vector(float), vol_coeff)
 
 
 def hitchin_invariant(rho: KForm, vol_orientation: KForm | None = None) -> float:
@@ -110,20 +118,40 @@ def hitchin_invariant(rho: KForm, vol_orientation: KForm | None = None) -> float
 _STABLE_TOL = 1e-14
 
 
+def hitchin_dual_rows(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Hitchin's dual of each row of rho, float 3-form coefficients of
+    shape (..., 20) in BASIS[3] order, and the mask of the rows that are
+    stable of complex type; the dual of any other row is NaN.
+
+    Per row: K = T rho rho for the reference volume, lambda = tr K^2 / 6,
+    stable when lambda < -_STABLE_TOL max(1, max|rho|)^4, and the pullback
+    of rho by J = K / sqrt(-lambda), (J^* rho)_J = sum_I rho_I det J[I, J].
+    """
+    rho = np.asarray(rho, dtype=float)
+    k = _k_rows(rho, _VOL)
+    lam = np.einsum("...ij,...ji->...", k, k) / 6.0
+    stable = lam < -_STABLE_TOL * np.maximum(1.0, np.abs(rho).max(axis=-1)) ** 4
+    j = k / np.sqrt(np.where(stable, -lam, np.nan))[..., None, None]
+    # as in exterior.pullback, only the I where some row has a coefficient;
+    # the rows of the batch go last, so each gathered entry is a contiguous run
+    flat, sign = _minor_table(3)
+    rho2 = rho.reshape(-1, len(BASIS[3]))
+    cols = np.flatnonzero(rho2.any(axis=0))
+    terms = np.take(j.reshape(-1, DIM * DIM).T, flat[:, cols], axis=0).prod(axis=0)
+    dual = np.einsum("IsJn,nI,s->nJ", terms, rho2[:, cols], sign)
+    return dual.reshape(rho.shape), stable
+
+
 def hitchin_dual(rho: KForm) -> KForm:
     """The 3-form rho_hat making rho + i rho_hat decomposable.
 
     Requires rho stable of negative (complex) type; the double dual is
     -rho and the operation is degree-one homogeneous in rho.
     """
-    rho_f = rho.to_float()
-    k = _k_matrix(rho_f, float(REFERENCE_VOLUME.coeffs[tuple(range(1, DIM + 1))]))
-    lam = float(np.trace(k @ k)) / 6.0
-    scale = max(1.0, rho_f.max_abs()) ** 4
-    if lam >= -_STABLE_TOL * scale:
+    dual, stable = hitchin_dual_rows(rho.to_vector(float))
+    if not stable:
         raise ValueError("not stable of complex type")
-    j = k / math.sqrt(-lam)
-    return pullback(j, rho_f)
+    return KForm.from_vector(3, dual)
 
 
 def volume_of_stable(rho: KForm) -> float:
@@ -167,6 +195,9 @@ B3_BASIS = (
     KForm(3, {(1, 4, 6): F(1), (2, 3, 6): F(1), (2, 4, 5): F(1)}),
     KForm(3, {(2, 4, 6): F(1)}),
 )
+#: the B basis as the columns of a float 20x4 matrix: B3_MATRIX @ (3 q1, q2, q3, 3 q4)
+#: is the coefficient vector of cubic_to_3form(q) in BASIS[3] order
+B3_MATRIX = np.stack([b.to_vector(float) for b in B3_BASIS], axis=1)
 
 
 def cubic_to_3form(q: BinaryForm) -> KForm:

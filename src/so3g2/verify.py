@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import mat_det, mat_rank, sym_signature
+from ._exact import mat_det, mat_rank, scale_to_ints, sym_signature
 from .binaryform import (
     BinaryForm,
     GL2,
@@ -419,9 +419,9 @@ def suite_flow_clock(seed: int = 6, n_samples: int = 20) -> SuiteResult:
         p_read = flow_torsion_cubic(d)
         orc = direct_ode_oracle(d, GL2.identity(), (0.0, 0.15), n_samples=7)
         poly = line_discriminant_poly(Q0.to_float(), p_read)
-        roots = _poly_real_roots(poly)
+        scaled, roots = scale_to_ints(poly), _poly_real_roots(poly)
         for i, t in enumerate(orc.ts):
-            f = lambda s: _time_integral(poly, roots, 0.0, s) - t
+            f = lambda s: _time_integral(scaled, roots, 0.0, s) - t
             s_t = brentq(f, -0.2, 0.9, xtol=1e-13)
             q_closed = line_cubic(Q0.to_float(), p_read, s_t)
             worst_oracle = max(worst_oracle, max(

@@ -39,6 +39,7 @@ from so3g2.flow import (
     planes_equal,
     time_integral,
     _poly_deriv,
+    _poly_eval,
     _poly_gcd,
     _poly_real_roots,
     _square_free_split,
@@ -554,6 +555,28 @@ def test_real_roots_carry_exact_multiplicities():
 def test_real_roots_of_a_tangency_example_do_not_exist(coeffs):
     # s^2 - 2 s + 1 + eps has its minimum +eps at s = 1
     assert _poly_real_roots(coeffs) == []
+
+
+def _correctly_rounded(coeffs, r):
+    """Whether the exact polynomial changes sign between the midpoints of
+    r with its float neighbours, so that its root is nearest to r."""
+    lo = (F(r) + F(math.nextafter(r, -math.inf))) / 2
+    hi = (F(r) + F(math.nextafter(r, math.inf))) / 2
+    return _poly_eval(coeffs, lo) * _poly_eval(coeffs, hi) < 0
+
+
+def test_real_roots_keep_an_exact_small_leading_coefficient():
+    # s^2 / 10^15 + s - 1: roots 0.999999999999999... and about -1e15; the
+    # 1e-14 degree-drop trim is for float residue, not for exact values
+    coeffs = [F(1, 10 ** 15), 1, -1]
+    got = _poly_real_roots(coeffs)
+    assert [k for _, k in got] == [1, 1]
+    (big, _), (near_one, _) = got
+    assert near_one < 1.0 and abs(near_one - 1.0) < 1e-14
+    assert -1.0000000000000011e15 < big < -0.999e15
+    assert _correctly_rounded(coeffs, near_one) and _correctly_rounded(coeffs, big)
+    # the same values as floats are a degree drop, as before
+    assert _poly_real_roots([1e-15, 1.0, -1.0]) == [(1.0, 1)]
 
 
 def test_real_roots_are_exact_floats_where_possible():

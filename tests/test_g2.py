@@ -31,6 +31,8 @@ from so3g2.g2 import (
     triality_matrix,
 )
 from so3g2.curvature import levi_civita_oracle
+from so3g2.exterior import apply_d, wedge
+from so3g2.stableform import SIGMA, cubic_to_3form, hitchin_dual
 from so3g2.variety import ModelPoint, structure_constants
 
 
@@ -320,3 +322,65 @@ def test_assemble_truncates_at_stability_loss(recwarn):
         samples = assemble_g2(traj)
     assert len(samples) == 3
     assert any("truncated" in str(w.message) for w in rec)
+
+
+# -- the array route against the per-sample KForm route ---------------------
+
+MODEL_CLASSES = [
+    ([1.0, 0.0], [-1.0, 0.0, 1.0]),    # compact semisimple
+    ([1.0, 0.0], [-1.0, 0.0, -1.0]),   # complex semisimple
+    ([1.0, 0.0], [0.0, 0.0, -1.0]),    # semidirect collapse
+    ([0.0, 1.0], [0.0, 1.0, 0.0]),     # direct sum with center
+    ([1.0, 0.0], [-1.0, 0.0, 0.0]),    # nilpotent
+]
+
+
+def loop_assemble(traj):
+    """(gamma, sigma, sigma^2/2, gamma_hat) per state, as assemble_g2
+    built them one sample at a time."""
+    out = []
+    for st in traj.states:
+        gamma = cubic_to_3form(st.q).to_float()
+        sigma_t = st.detg * SIGMA.to_float()
+        out.append((gamma, sigma_t, 0.5 * wedge(sigma_t, sigma_t), hitchin_dual(gamma)))
+    return out
+
+
+def loop_closedness(forms, d, h, star_dt_sign=1.0):
+    """check_closedness as a loop of apply_d over the samples."""
+    d = d.to_float()
+    gammas, sigmas, half_sigma2s, ghats = zip(*forms)
+
+    def ddt(fs, i):
+        return (fs[i - 2] - 8.0 * fs[i - 1] + 8.0 * fs[i + 1] - fs[i + 2]) / (12.0 * h)
+
+    max_dphi = max_dstar = 0.0
+    for i in range(2, len(forms) - 2):
+        max_dphi = max(max_dphi, apply_d(d, gammas[i]).max_abs(),
+                       (apply_d(d, sigmas[i]) - ddt(gammas, i)).max_abs())
+        max_dstar = max(max_dstar, apply_d(d, half_sigma2s[i]).max_abs(),
+                        (star_dt_sign * apply_d(d, ghats[i]) + ddt(half_sigma2s, i)).max_abs())
+    return max_dphi, max_dstar
+
+
+@pytest.mark.parametrize("x, y", MODEL_CLASSES)
+def test_closedness_matches_per_sample_loop(x, y):
+    d = structure_constants(ModelPoint.make(x, y))
+    p = flow_torsion_cubic(d)
+    tg = np.linspace(0.0, 0.06, 61)
+    traj = integrate_time_grid(p, Q0.to_float(), 0.0, tg)
+    samples = assemble_g2(traj)
+    forms = loop_assemble(traj)
+    assert len(samples) == len(forms) == 61
+    for sample, (gamma, sigma_t, half_sigma2, ghat) in zip(samples, forms):
+        assert sample.phi_space == gamma
+        assert sample.phi_dt == sigma_t
+        assert sample.star_space == half_sigma2
+        assert (sample.star_dt - ghat).max_abs() <= 1e-14 * ghat.max_abs()
+    for sign in (1.0, -1.0):
+        got = check_closedness(samples, d, star_dt_sign=sign)
+        want = loop_closedness(forms, d, tg[1] - tg[0], star_dt_sign=sign)
+        assert all(type(v) is float for v in got)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+        # the opposite star_dt sign fails on every class
+        assert (got[1] > 1e-2) == (sign < 0)

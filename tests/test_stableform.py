@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from so3g2.binaryform import BinaryForm
-from so3g2.exterior import BASIS, DIM, KForm, interior, wedge, wedge_all
+from so3g2.exterior import BASIS, DIM, KForm, interior, pullback, wedge, wedge_all
 from so3g2.stableform import (
+    B3_MATRIX,
     GAMMA,
     GAMMA_HAT,
     REFERENCE_VOLUME,
     SIGMA,
+    _K_TENSOR,
     _k_matrix,
     cubic_to_3form,
     hitchin_dual,
+    hitchin_dual_rows,
     hitchin_invariant,
     standard_forms,
     threeform_to_cubic,
@@ -240,3 +243,68 @@ def test_hitchin_dual_matches_loop_reference(kind):
         cond = size / abs(lam)
         assert (got - want).max_abs() <= 1e-14 * cond * max(1.0, want.max_abs())
     assert 0 < refused < 200
+
+
+# -- the array kernel against the KForm pullback route ----------------------
+
+def pullback_route_dual(v):
+    """Hitchin's dual of the coefficient row v as hitchin_dual computed it
+    on KForms: K = T v v, then exterior.pullback(K / sqrt(-lambda), rho)."""
+    k = _K_TENSOR @ v @ v / -3.0
+    lam = float(np.trace(k @ k)) / 6.0
+    assert lam < 0
+    return pullback(k / math.sqrt(-lam), KForm.from_vector(3, v)).to_vector(float)
+
+
+def _stable_rows(n=200, seed=31):
+    # gamma plus a dense perturbation: stable of complex type, with
+    # condition |rho|^4 / |lambda| below 13
+    rng = np.random.default_rng(seed)
+    return GAMMA.to_vector(float) + rng.uniform(-0.3, 0.3, (n, len(BASIS[3])))
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def test_hitchin_dual_rows_matches_pullback_route():
+    rho = _stable_rows()
+    dual, stable = hitchin_dual_rows(rho)
+    assert dual.shape == rho.shape and stable.all()
+    for v, got in zip(rho, dual):
+        assert _rel(got, pullback_route_dual(v)) <= 1e-14
+        one, one_stable = hitchin_dual_rows(v)
+        assert one_stable and _rel(got, one) <= 1e-14
+    # a batch of invariant forms gamma = B3_MATRIX @ (3 q1, q2, q3, 3 q4)
+    cubics = np.random.default_rng(32).uniform(-0.3, 0.3, (50, 4)) + [1.0, 0.0, -1.0, 0.0]
+    rows = cubics @ B3_MATRIX.T
+    dual, stable = hitchin_dual_rows(rows)
+    assert stable.all()
+    for v, got in zip(rows, dual):
+        assert _rel(got, pullback_route_dual(v)) <= 1e-14
+    # leading axes are kept
+    dual3, _ = hitchin_dual_rows(rho[:12].reshape(3, 4, -1))
+    assert dual3.shape == (3, 4, len(BASIS[3]))
+    assert _rel(dual3.reshape(12, -1), hitchin_dual_rows(rho[:12])[0]) <= 1e-14
+
+
+def test_hitchin_dual_rows_double_dual_and_unstable_rows():
+    rho = _stable_rows()
+    dual, _ = hitchin_dual_rows(rho)
+    ddual, stable = hitchin_dual_rows(dual)
+    assert stable.all()
+    for v, dd in zip(rho, ddual):
+        assert _rel(dd, -v) <= 1e-14
+    # real type (e123 + e456), the zero form and a decomposable form are
+    # flagged in the middle of a batch, and leave the other rows alone
+    real = KForm(3, {(1, 2, 3): 1.0, (4, 5, 6): 1.0}).to_vector(float)
+    simple = KForm(3, {(1, 3, 5): 2.0}).to_vector(float)
+    batch = np.vstack([rho[:3], real, np.zeros(len(BASIS[3])), simple, rho[3:6]])
+    got, stable = hitchin_dual_rows(batch)
+    assert stable.tolist() == [True] * 3 + [False] * 3 + [True] * 3
+    assert np.isnan(got[~stable]).all()
+    assert _rel(got[stable], hitchin_dual_rows(rho[:6])[0]) <= 1e-14
+    # hitchin_dual wraps the kernel and refuses what it flags
+    for v in (real, simple):
+        with pytest.raises(ValueError, match="not stable"):
+            hitchin_dual(KForm.from_vector(3, v))
