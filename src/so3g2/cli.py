@@ -188,8 +188,10 @@ def cmd_flow(args) -> int:
     rows = []
     t = 0.0
     prev = 0.0
+    # s is a float, so every row is a float cubic: take the line in floats
+    q0_f, p_f = q0.to_float(), p.to_float()
     for s in svals:
-        q = line_cubic(q0, p, s)
+        q = line_cubic(q0_f, p_f, s)
         t += _time_integral(scaled, roots, prev, s)
         prev = s
         rows.append([s, t] + [float(v) for v in q.coeffs]

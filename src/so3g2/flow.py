@@ -28,6 +28,7 @@ from .exterior import BASIS, CEOperator, KForm, apply_d, wedge
 from .stableform import (
     B3_MATRIX,
     SIGMA,
+    _invariant_rows,
     hitchin_dual_rows,
     threeform_to_cubic,
     volume_gamma,
@@ -229,14 +230,20 @@ def _bisect(f, lo: float, hi: float) -> float:
             lo = mid
 
 
-def _sign_at(poly, x) -> int:
-    """Exact sign of an int polynomial at a float or Fraction: with
-    x = n/d, the sign of d^deg poly(x), a homogeneous Horner sum on ints."""
+def _scaled_value(poly, x) -> tuple[int, int]:
+    """(d^deg poly(x), d^deg) for an int polynomial at a float or Fraction
+    x = n/d: a homogeneous Horner sum on ints, so exact."""
     n, d = x.as_integer_ratio()
     total, power = 0, 1
     for c in poly:
         total = total * n + c * power
         power *= d
+    return total, power // d
+
+
+def _sign_at(poly, x) -> int:
+    """Exact sign of an int polynomial at a float or Fraction."""
+    total = _scaled_value(poly, x)[0]
     return (total > 0) - (total < 0)
 
 
@@ -254,28 +261,45 @@ def time_integral(q0: BinaryForm, p: BinaryForm, s_from: float, s_to: float) -> 
 def _time_integral(scaled, roots, s_from: float, s_to: float) -> float:
     """time_integral on the line whose discriminant polynomial is poly,
     with scaled = scale_to_ints(poly) and roots = _poly_real_roots(poly);
-    an end equal to one of the roots takes that root's multiplicity."""
+    an end equal to one of the roots takes that root's multiplicity.
+
+    One quadrature runs across the whole interval.  It starts at the end
+    that is a root, or else at the end where Delta is smaller, since the
+    polynomial shifted to the start is exact where the integrand is
+    largest.  An interval whose two ends are roots is split at its
+    midpoint.
+    """
     if s_from == s_to:
         return 0.0
     mult = dict(roots)
     a, b = sorted((s_from, s_to))
-    mid = 0.5 * (a + b)
-    total = (_half_integral(scaled, a, mid, mult.get(a, 0))
-             + _half_integral(scaled, b, mid, mult.get(b, 0)))
+    ka, kb = mult.get(a, 0), mult.get(b, 0)
+    if ka and kb:
+        mid = 0.5 * (a + b)
+        total = (_end_integral(_taylor_shift(scaled, a, 1), mid - a, ka)
+                 + _end_integral(_taylor_shift(scaled, b, -1), b - mid, kb))
+    else:
+        if ka or kb:
+            at_b = bool(kb)
+        else:  # |Delta(b)| < |Delta(a)|, compared exactly
+            (va, da), (vb, db) = _scaled_value(scaled[0], a), _scaled_value(scaled[0], b)
+            at_b = abs(vb) * da < abs(va) * db
+        end, sign, k = (b, -1, kb) if at_b else (a, 1, ka)
+        total = _end_integral(_taylor_shift(scaled, end, sign), b - a, k)
     return total if s_from < s_to else -total
 
 
-def _half_integral(scaled, end, other, k: int) -> float:
-    """Integral of (3/4 Delta)^(-1/6) between end, a root of multiplicity k
-    (0 if none), and other, where Delta is positive.
+def _end_integral(shifted, width: float, k: int) -> float:
+    """Integral of (3/4 Delta)^(-1/6) over u in [0, width], where shifted
+    holds the coefficients of Delta in u = |s - end| from _taylor_shift,
+    end is a root of multiplicity k (0 if none), and Delta is positive
+    in between.
 
-    In u = |s - end| the polynomial is u^k h(u): the Taylor shift to end
-    runs on exact values and its k lowest coefficients, which vanish at
-    an exact root, are dropped.  With u = v^e, e = 6/(6 - k), the
-    integrand becomes e (3/4 h(v^e))^(-1/6), which is bounded.
+    The shift runs on exact values, so the k lowest coefficients, which
+    vanish at an exact root, are dropped: the rest is h with Delta =
+    u^k h(u).  With u = v^e, e = 6/(6 - k), the integrand becomes
+    e (3/4 h(v^e))^(-1/6), which is bounded.
     """
-    width = abs(other - end)
-    shifted = _taylor_shift(scaled, end, 1 if other > end else -1)
     h = shifted[:len(shifted) - k]
     expo = 6.0 / (6.0 - k)
 
@@ -474,15 +498,26 @@ class OracleTrajectory:
     status: str
 
 
+#: The oracle stops where -lambda / max(1, max|gamma|)^4 falls to this margin.
+#: Towards the boundary gamma_hat grows like (-lambda)^(-1/2), and c' with it,
+#: so the step-size control can only crawl towards lambda = 0.  On seeded
+#: half-flat lines with a simple boundary root this margin stops after about
+#: 2000 right-hand sides, 1.6e-7 to 2.4e-4 in t before the boundary; a margin
+#: of 1e-11 took up to 90000.
+_BOUNDARY_MARGIN = 1e-8
+
+
 def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60) -> OracleTrajectory:
     """Integrate gamma' = d sigma, (sigma^2)' = -2 d gamma_hat directly.
 
     The state is the invariant 3-form gamma (four coefficients, those of
     cubic_to_3form in the B basis) together with the coefficient c of
     sigma^2 against the reference sigma_0^2; gamma_hat is recomputed each
-    step through the stable-form dual.  Terminates with a boundary report
-    when stability or positivity is lost.  The initial frame must be
-    half-flat.
+    step through the stable-form dual.  A terminal event, continuous in
+    the state, is the smaller of c and -lambda(gamma) / max(1, max|gamma|)^4
+    less _BOUNDARY_MARGIN: where it reaches 0 the integration stops just
+    short of the boundary with status "boundary", and the samples cover
+    t_span[0] up to that time.  The initial frame must be half-flat.
     """
     d = d.to_float()
     p_read = flow_torsion_cubic(d)
@@ -502,16 +537,20 @@ def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60) -> Or
         ghat, stable = hitchin_dual_rows(B3_MATRIX @ y[:4])
         if not stable:
             raise ValueError("not stable of complex type")
-        return np.append(math.sqrt(max(y[4], 0.0)) * pv, -(d_1234 @ ghat))
+        dy = np.empty(5)
+        dy[:4] = math.sqrt(max(y[4], 0.0)) * pv
+        dy[4] = -(d_1234 @ ghat)
+        return dy
 
-    def stability(_t, y):
-        return float(y[4] > 0 and hitchin_dual_rows(B3_MATRIX @ y[:4])[1])
+    def boundary(_t, y):
+        gamma = B3_MATRIX @ y[:4]
+        _, lam, _ = _invariant_rows(gamma)
+        return min(y[4], -lam / max(1.0, np.abs(gamma).max()) ** 4 - _BOUNDARY_MARGIN)
 
-    stability.terminal = True
-    stability.direction = 0
+    boundary.terminal = True
 
     sol = _sciint.solve_ivp(rhs, t_span, y0, method="DOP853", rtol=1e-11, atol=1e-13,
-                            dense_output=True, events=stability, max_step=abs(t_span[1] - t_span[0]) / 8)
+                            dense_output=True, events=boundary, max_step=abs(t_span[1] - t_span[0]) / 8)
     ts = np.linspace(t_span[0], sol.t[-1], n_samples)
     ys = sol.sol(ts)
     sigma2 = SIGMA2.to_float()

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .binaryform import BinaryForm
-from .exterior import BASIS, DIM, KForm, _contract_wedge, _minor_table, wedge, wedge_all
+from .exterior import BASIS, DIM, KForm, _contract_wedge, _sort_with_sign, wedge, wedge_all
 
 F = Fraction
 
@@ -83,14 +83,38 @@ def _k_tensor() -> np.ndarray:
 
 _K_TENSOR = _k_tensor()
 # K = rho rho . _K_PAIRS for a row rho, with rho rho the flat outer product
-_K_PAIRS = _K_TENSOR.reshape(DIM * DIM, -1).T
+_K_PAIRS = np.ascontiguousarray(_K_TENSOR.reshape(DIM * DIM, -1).T)
 _VOL = float(REFERENCE_VOLUME.coeffs[tuple(range(1, DIM + 1))])
 
 
+def _dual_tensor() -> np.ndarray:
+    """D[ij, I, b] with sqrt(-lambda) rho_hat_I = K_ij D[ij, I, b] rho_b.
+
+    Hitchin's dual is the gradient of lambda read through the wedge
+    pairing (Hitchin, Stable forms and special metrics, 2001):
+    rho_hat_I = (3/2) eps_I (d lambda / d rho)_{I^c} / sqrt(-lambda), where
+    e^I ^ e^{I^c} = eps_I e^123456.  With S = T / vol symmetrised in its two
+    form indices, K = S rho rho / 2, so d lambda / d rho_a is
+    (1/3) K_ij S[j, i, a, b] rho_b.
+    """
+    comp, eps = [], []
+    for idx in BASIS[3]:
+        rest = tuple(n for n in range(1, DIM + 1) if n not in idx)
+        comp.append(BASIS[3].index(rest))
+        eps.append(_sort_with_sign(idx + rest)[1])
+    s = (_K_TENSOR + _K_TENSOR.transpose(0, 1, 3, 2)) / _VOL
+    d = s.transpose(1, 0, 2, 3)[:, :, comp, :] * (0.5 * np.array(eps))[:, None]
+    return d.reshape(DIM * DIM, -1)
+
+
+_DUAL = _dual_tensor()
+
+
 def _k_rows(rho: np.ndarray, vol_coeff: float) -> np.ndarray:
-    """K = T rho rho / vol_coeff for each row of rho, shape (..., 20)."""
+    """K = T rho rho / vol_coeff for each row of rho, shape (..., 20),
+    flattened to shape (..., 36)."""
     pairs = (rho[..., :, None] * rho[..., None, :]).reshape(rho.shape[:-1] + (-1,))
-    return (pairs @ _K_PAIRS).reshape(rho.shape[:-1] + (DIM, DIM)) / vol_coeff
+    return pairs @ _K_PAIRS / vol_coeff
 
 
 def _k_matrix(rho: KForm, vol_coeff: float) -> np.ndarray:
@@ -98,7 +122,7 @@ def _k_matrix(rho: KForm, vol_coeff: float) -> np.ndarray:
 
     A identifies a 5-form with a vector: X -| vol = xi.
     """
-    return _k_rows(rho.to_vector(float), vol_coeff)
+    return _k_rows(rho.to_vector(float), vol_coeff).reshape(DIM, DIM)
 
 
 def hitchin_invariant(rho: KForm, vol_orientation: KForm | None = None) -> float:
@@ -118,28 +142,34 @@ def hitchin_invariant(rho: KForm, vol_orientation: KForm | None = None) -> float
 _STABLE_TOL = 1e-14
 
 
+# position of K_ji in the flattened K, for each flat position of K_ij
+_K_TRANSPOSED = np.arange(DIM * DIM).reshape(DIM, DIM).T.ravel()
+
+
+def _invariant_rows(rho: np.ndarray):
+    """K (flat, shape (..., 36)), lambda = tr K^2 / 6 and the stability
+    mask of each row of the float array rho, shape (..., 20): the part of
+    hitchin_dual_rows that builds no dual."""
+    k = _k_rows(rho, _VOL)
+    lam = (k * k[..., _K_TRANSPOSED]).sum(axis=-1) / 6.0
+    stable = lam < -_STABLE_TOL * np.maximum(1.0, np.abs(rho).max(axis=-1)) ** 4
+    return k, lam, stable
+
+
 def hitchin_dual_rows(rho) -> tuple[np.ndarray, np.ndarray]:
     """Hitchin's dual of each row of rho, float 3-form coefficients of
     shape (..., 20) in BASIS[3] order, and the mask of the rows that are
     stable of complex type; the dual of any other row is NaN.
 
     Per row: K = T rho rho for the reference volume, lambda = tr K^2 / 6,
-    stable when lambda < -_STABLE_TOL max(1, max|rho|)^4, and the pullback
-    of rho by J = K / sqrt(-lambda), (J^* rho)_J = sum_I rho_I det J[I, J].
+    stable when lambda < -_STABLE_TOL max(1, max|rho|)^4, and the dual
+    (K . _DUAL . rho) / sqrt(-lambda), the gradient of lambda turned into
+    a 3-form by the wedge pairing.
     """
     rho = np.asarray(rho, dtype=float)
-    k = _k_rows(rho, _VOL)
-    lam = np.einsum("...ij,...ji->...", k, k) / 6.0
-    stable = lam < -_STABLE_TOL * np.maximum(1.0, np.abs(rho).max(axis=-1)) ** 4
-    j = k / np.sqrt(np.where(stable, -lam, np.nan))[..., None, None]
-    # as in exterior.pullback, only the I where some row has a coefficient;
-    # the rows of the batch go last, so each gathered entry is a contiguous run
-    flat, sign = _minor_table(3)
-    rho2 = rho.reshape(-1, len(BASIS[3]))
-    cols = np.flatnonzero(rho2.any(axis=0))
-    terms = np.take(j.reshape(-1, DIM * DIM).T, flat[:, cols], axis=0).prod(axis=0)
-    dual = np.einsum("IsJn,nI,s->nJ", terms, rho2[:, cols], sign)
-    return dual.reshape(rho.shape), stable
+    k, lam, stable = _invariant_rows(rho)
+    grad = ((k @ _DUAL).reshape(rho.shape + (-1,)) @ rho[..., None])[..., 0]
+    return grad / np.sqrt(np.where(stable, -lam, np.nan))[..., None], stable
 
 
 def hitchin_dual(rho: KForm) -> KForm:

@@ -305,6 +305,44 @@ def test_no_complete_line_witness_random():
         assert _certified(p, s, k), p
 
 
+def test_symbolic_no_halfflat_line_is_complete():
+    # criterion 9 for every half-flat p = (a, b, c, b) (LEDGER "Criterion 9")
+    sp = pytest.importorskip("sympy")
+    a, b, c, s = sp.symbols("a b c s")
+    R = sp.Rational
+    p = BinaryForm(3, [a, b, c, b])
+    A4, A3, A2, A1, A0 = (sp.expand(x) for x in line_discriminant_poly(Q0, p))
+    assert sp.expand(A4 - discriminant(p)) == 0
+    assert sp.expand(A3 + R(4, 3) * (9 * a - c) * (3 * b ** 2 - c ** 2)) == 0
+    assert sp.expand(A2 + 4 * (3 * a * c + 2 * b ** 2 - c ** 2)) == 0
+    assert A1 == sp.expand(4 * (a - c)) and A0 == R(4, 3)
+    delta = A4 * s ** 4 + A3 * s ** 3 + A2 * s ** 2 + A1 * s + A0
+    Q = 27 * a ** 2 + 18 * a * c - 16 * b ** 2 + 3 * c ** 2
+    # the discriminant in s is never positive
+    assert sp.expand(sp.discriminant(delta, s) + R(256, 27) * b ** 4 * Q ** 4) == 0
+    # b = 0: a real root of odd multiplicity unless a = c = 0
+    assert sp.expand(delta.subs(b, 0) + R(4, 3) * (3 * a * s + 1) * (c * s - 1) ** 3) == 0
+    assert sp.solve([3 * a, c], [a, c], dict=True) == [{a: 0, c: 0}]
+    # Q = 0, that is b^2 = 3 (3a + c)^2 / 16 (delta depends on b^2 only):
+    # likewise, and a = c = 0 there forces b = 0
+    on_q = delta.subs(b, sp.sqrt(3) * (3 * a + c) / 4)
+    assert sp.expand(on_q + (9 * a * s - c * s + 4) ** 3 * (15 * a * s + 9 * c * s - 4) / 192) == 0
+    assert sp.solve([9 * a - c, 15 * a + 9 * c], [a, c], dict=True) == [{a: 0, c: 0}]
+    # otherwise the discriminant is negative: for A4 != 0 the quartic has
+    # two simple real roots.  A4 = 0 with A3 = 0 needs Q = 0 or b = 0: on
+    # the factor c = 9a of A3, A4 = -Q^2/64; on c^2 = 3b^2, A4 = -c^2 (c - 9a)^2 / 9
+    # and Q = -(c - 9a)(7c + 9a)/3.  So for A4 = 0 the cubic has a simple root.
+    assert sp.expand(A4.subs(c, 9 * a) + Q.subs(c, 9 * a) ** 2 / 64) == 0
+    on_c = {b: c / sp.sqrt(3)}
+    assert sp.expand(A4.subs(on_c) + c ** 2 * (c - 9 * a) ** 2 / 9) == 0
+    assert sp.expand(Q.subs(on_c) + (c - 9 * a) * (7 * c + 9 * a) / 3) == 0
+    # negative control: (0, 1, 0, -1/3) is not half-flat, and its line stays positive
+    bad = BinaryForm(3, [0, 1, 0, R(-1, 3)])
+    bad_delta = sp.Poly(line_discriminant_poly(Q0, bad), s)
+    assert bad_delta.as_expr() == sp.expand(R(4, 3) * (1 + s ** 2) ** 2)
+    assert sp.real_roots(bad_delta) == []
+
+
 @pytest.mark.parametrize("forged", [(0.0, 0), (0.0, 2)])
 def test_noncomplete_suite_rejects_a_forged_witness(monkeypatch, forged):
     # Delta(Q0) = 4/3: s = 0 is neither a negative point nor a root
@@ -723,6 +761,107 @@ def test_clock_at_a_multiple_root_against_mpmath(k):
         assert mult == k and abs(end - r) <= 1e-12 * abs(r)
         got = time_integral(q0, p, float(s0), end)
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (k, q0, p, got, ref)
+
+
+@pytest.fixture
+def mpmath():
+    """mpmath at 40 digits: at 30, tanh-sinh is off by 4e-12 on t^(-2/3)."""
+    module = pytest.importorskip("mpmath")
+    with module.workdps(40):
+        yield module
+
+
+def _mp(x):
+    """A rational or float x as an mpmath number, exactly."""
+    import mpmath
+
+    x = F(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def test_one_piece_clock_on_regular_intervals_against_mpmath(mpmath):
+    # one quadrature per interval, started at the end where Delta is smaller
+    rng = random.Random(41)
+    checked = 0
+    while checked < 40:
+        p = BinaryForm(3, [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)])
+        poly = line_discriminant_poly(Q0, p)
+        roots = [r for r, _ in _poly_real_roots(poly)]
+        lo = max((r for r in roots if r < 0), default=-3.0)
+        hi = min((r for r in roots if r > 0), default=3.0)
+        inner = [lo + (hi - lo) * f for f in (0.1, 0.9)]
+        s0, s1 = (rng.uniform(*inner) for _ in range(2))
+        if s0 == s1:
+            continue
+        coeffs = [_mp(c) for c in poly]
+        ref = mpmath.quad(lambda s: (mpmath.mpf(3) / 4 * mpmath.polyval(coeffs, s))
+                          ** (-mpmath.mpf(1) / 6), [s0, s1])
+        got = time_integral(Q0, p, s0, s1)
+        assert abs(got - ref) <= 1e-12 * abs(ref), (p, s0, s1, got, ref)
+        checked += 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_one_piece_clock_next_to_a_root_against_mpmath(mpmath, k):
+    # an end that is not a root but lies next to a k-fold one, taken as the
+    # upper and as the lower end of the interval
+    rng = random.Random(200 + k)
+    for _ in range(4):
+        q0, p, r, s0, (q_r, p_n), det = _multiple_root_line(rng, k)
+        normal_poly = line_discriminant_poly(q_r, p_n)
+        h = [_mp(c) for c in normal_poly[:-k]]
+        scale = _mp(det) ** 6 * 3 / 4
+
+        def integrand(t):
+            return (scale * t ** k * mpmath.polyval(h, t)) ** (-mpmath.mpf(1) / 6)
+
+        side = 1 if s0 > r else -1
+        for gap in (1e-3, 1e-6):
+            end = float(r) + side * gap * max(1.0, abs(float(r)))
+            ref = mpmath.quad(integrand, [_mp(s0 - r), _mp(F(end) - r)])
+            for a, b, sign in ((float(s0), end, 1), (end, float(s0), -1)):
+                got = time_integral(q0, p, a, b)
+                assert abs(got - sign * ref) <= 1e-12 * abs(ref), (k, gap, got, ref)
+
+
+def test_one_piece_clock_between_two_roots_against_mpmath(mpmath):
+    # Delta(Q0 + s m (1, 0, 1, 0)) = 4 (1/3 + m s)(1 - m s)^3: a simple root
+    # at -1/(3m) and a triple root at 1/m, both ends of the interval, so the
+    # midpoint split runs; the frame change g scales Delta by det(g)^6
+    rng = random.Random(43)
+    for m in (F(1), F(2), F(3, 5), F(-7, 4)):
+        g = GL2(*(F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(2)),
+                *(F(rng.randint(-3, -1), rng.randint(1, 3)) for _ in range(2)))
+        q0, p = act(g, Q0), act(g, BinaryForm(3, [m, 0, m, 0]))
+        lo, hi = sorted((-1 / (3 * m), 1 / m))
+        assert [r for r, _ in _poly_real_roots(line_discriminant_poly(q0, p))] \
+            == [float(lo), float(hi)]
+        scale = _mp(g.det()) ** 6 * 3
+
+        def integrand(s):
+            return (scale * (mpmath.mpf(1) / 3 + _mp(m) * s) * (1 - _mp(m) * s) ** 3) \
+                ** (-mpmath.mpf(1) / 6)
+
+        ref = mpmath.quad(integrand, [_mp(lo), _mp(lo + hi) / 2, _mp(hi)])
+        got = time_integral(q0, p, float(lo), float(hi))
+        assert abs(got - ref) <= 1e-12 * abs(ref), (m, got, ref)
+        assert time_integral(q0, p, float(hi), float(lo)) == -got
+
+
+def test_oracle_stops_short_of_a_boundary_inside_t_span():
+    # the complex semisimple class runs into the triple root u1^3 at s = 1;
+    # with t_span twice its boundary time the oracle ends with "boundary",
+    # just short of it and on the closed-form line
+    d = structure_constants(ModelPoint.make([1.0, 0.0], [-1.0, 0.0, -1.0]))
+    p = BinaryForm(3, [F(c) for c in flow_torsion_cubic(d).coeffs])
+    t_b = time_integral(Q0, p, 0.0, 1.0)
+    orc = direct_ode_oracle(d, GL2.identity(), (0.0, 2 * t_b), n_samples=21)
+    assert orc.status == "boundary"
+    assert 0.8 * t_b < orc.ts[-1] < t_b
+    for t, q in zip(orc.ts, orc.qs):
+        s_t = brentq(lambda s: time_integral(Q0, p, 0.0, s) - t, 0.0, 1.0, xtol=1e-15)
+        q_closed = line_cubic(Q0, p, s_t)
+        assert max(abs(float(a) - float(b)) for a, b in zip(q_closed.coeffs, q.coeffs)) < 1e-8
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])

@@ -14,6 +14,7 @@ from so3g2.stableform import (
     REFERENCE_VOLUME,
     SIGMA,
     _K_TENSOR,
+    _invariant_rows,
     _k_matrix,
     cubic_to_3form,
     hitchin_dual,
@@ -308,3 +309,20 @@ def test_hitchin_dual_rows_double_dual_and_unstable_rows():
     for v in (real, simple):
         with pytest.raises(ValueError, match="not stable"):
             hitchin_dual(KForm.from_vector(3, v))
+
+
+def test_invariant_rows_decide_stability_as_the_kernel():
+    # the lambda-only route of the oracle's boundary event builds no dual
+    # and flags the same rows as hitchin_dual_rows
+    rho = _stable_rows()
+    real = KForm(3, {(1, 2, 3): 1.0, (4, 5, 6): 1.0}).to_vector(float)
+    simple = KForm(3, {(1, 3, 5): 2.0}).to_vector(float)
+    batch = np.vstack([rho[:3], real, np.zeros(len(BASIS[3])), simple, rho[3:6]])
+    _, lam, stable = _invariant_rows(batch)
+    assert stable.tolist() == hitchin_dual_rows(batch)[1].tolist()
+    assert stable.tolist() == [True] * 3 + [False] * 3 + [True] * 3
+    for v, got in zip(batch, lam):
+        want = hitchin_invariant(KForm.from_vector(3, v))
+        assert abs(got - want) <= 1e-14 * max(1.0, np.abs(v).max()) ** 4
+    _, one, one_stable = _invariant_rows(rho[0])
+    assert one.shape == () and one_stable and one == lam[0]
