@@ -26,22 +26,19 @@ from pathlib import Path
 
 import numpy as np
 
-from ._exact import scale_to_ints
 from .binaryform import BinaryForm, discriminant, resultant
 from .curvature import levi_civita_oracle
 from .flow import (
     InvalidEndpoint,
+    Line,
     endpoint_classify,
     contraction_field,
     halfflat_contraction_planes,
     integrate_line,
     line_cubic,
-    line_discriminant_poly,
-    _poly_real_roots,
     clock_detg,
     plane_is_invariant,
     _poly_eval,
-    _time_integral,
 )
 from .g2 import assemble_g2, bs_metric
 from .variety import (
@@ -169,21 +166,20 @@ def cmd_flow(args) -> int:
     p = BinaryForm(3, parse_vector(args.p, 4))
     q0 = BinaryForm(3, parse_vector(args.q0, 4))
     disc0 = float(discriminant(q0))
-    poly = line_discriminant_poly(q0, p)
     if disc0 <= 0:
         # admissible endpoints may start the flow; anything else is refused
         try:
             endpoint_classify(p.to_float(), q0.to_float())
         except InvalidEndpoint as exc:
             raise SystemExit2(f"initial data is not admissible: {exc}")
+    line = Line(q0, p)
     direction = args.direction
     if direction == 0:
         probe = 1e-6 * max(1.0, args.s_max)
-        direction = 1 if float(_poly_eval(poly, probe)) > 0 else -1
-    scaled, roots = scale_to_ints(poly), _poly_real_roots(poly)
-    hits = [r for r, _ in roots if 0 < r * direction <= args.s_max]
+        direction = 1 if float(_poly_eval(line.poly, probe)) > 0 else -1
     # a boundary root is passed as the end itself, so the clock sees its multiplicity
-    s_end = min(hits, key=abs) if hits else direction * args.s_max
+    hit = line.boundary(direction * args.s_max)
+    s_end = direction * args.s_max if hit is None else hit
     svals = [s_end * (i + 1) / args.steps for i in range(args.steps - 1)] + [s_end]
     rows = []
     t = 0.0
@@ -192,13 +188,13 @@ def cmd_flow(args) -> int:
     q0_f, p_f = q0.to_float(), p.to_float()
     for s in svals:
         q = line_cubic(q0_f, p_f, s)
-        t += _time_integral(scaled, roots, prev, s)
+        t += line.time(prev, s)
         prev = s
         rows.append([s, t] + [float(v) for v in q.coeffs]
                     + [clock_detg(q), float(discriminant(q))])
     endpoint_report = {}
-    if hits:
-        q_end = line_cubic(q0, p, s_end)
+    if hit is not None:
+        q_end = line.cubic(s_end)
         try:
             info = endpoint_classify(p.to_float(), q_end.to_float())
             endpoint_report = {
@@ -217,8 +213,8 @@ def cmd_flow(args) -> int:
     }
     if args.g2_samples:
         # a boundary root has no frame, so the G2 samples stop one row short of it
-        traj = integrate_line(p.to_float(), q0.to_float(), svals[:-1] if hits else svals)
-        data["g2_samples"] = [s.to_json() for s in assemble_g2(traj)]
+        traj = integrate_line(p.to_float(), q0.to_float(), svals if hit is None else svals[:-1])
+        data["g2_samples"] = assemble_g2(traj).to_json()
     _emit(data, args.output, args.format)
     return 0
 

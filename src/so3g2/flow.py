@@ -247,70 +247,99 @@ def _sign_at(poly, x) -> int:
     return (total > 0) - (total < 0)
 
 
+class Line:
+    """The flow line q0 + s p with its discriminant polynomial Delta(s).
+
+    poly is exact when q0 and p are; its scaling to Python ints and its
+    real roots with their multiplicities are computed once per line.
+    """
+
+    def __init__(self, q0: BinaryForm, p: BinaryForm):
+        self.q0, self.p = q0, p
+        self.poly = line_discriminant_poly(q0, p)
+        self.scaled = scale_to_ints(self.poly)
+        self.roots = _poly_real_roots(self.poly)
+
+    def cubic(self, s) -> BinaryForm:
+        return line_cubic(self.q0, self.p, s)
+
+    def boundary(self, ds) -> Optional[float]:
+        """The root nearest 0 in (0, ds], or in [ds, 0) when ds < 0; None if there is none."""
+        hits = [r for r, _ in self.roots if (0 < r <= ds if ds > 0 else ds <= r < 0)]
+        return min(hits, key=abs, default=None)
+
+    def time(self, s_from: float, s_to: float) -> float:
+        """Physical time across [s_from, s_to]: integral of (3/4 Delta)^(-1/6) ds.
+
+        Delta must be positive in the interior; an end equal to a root takes
+        its multiplicity.  One quadrature runs across the interval from the
+        end that is a root, or else from the end where Delta is smaller (the
+        shift to it is exact where the integrand is largest), and gets the
+        distance to the nearest root beyond that end.  An interval whose two
+        ends are roots is split at its midpoint.
+        """
+        if s_from == s_to:
+            return 0.0
+        mult = dict(self.roots)
+        a, b = sorted((s_from, s_to))
+        ka, kb = mult.get(a, 0), mult.get(b, 0)
+        if ka and kb:
+            mid = 0.5 * (a + b)
+            total = (_end_integral(_taylor_shift(self.scaled, a, 1), mid - a, ka)
+                     + _end_integral(_taylor_shift(self.scaled, b, -1), b - mid, kb))
+        else:
+            if ka or kb:
+                at_b = bool(kb)
+            else:  # |Delta(b)| < |Delta(a)|, compared exactly
+                ints = self.scaled[0]
+                (va, da), (vb, db) = _scaled_value(ints, a), _scaled_value(ints, b)
+                at_b = abs(vb) * da < abs(va) * db
+            end, sign, k = (b, -1, kb) if at_b else (a, 1, ka)
+            gap = min((sign * (end - r) for r, _ in self.roots if sign * (end - r) > 0),
+                      default=math.inf)
+            total = _end_integral(_taylor_shift(self.scaled, end, sign), b - a, k, gap)
+        return total if s_from < s_to else -total
+
+
 def time_integral(q0: BinaryForm, p: BinaryForm, s_from: float, s_to: float) -> float:
-    """Physical time across [s_from, s_to]: integral of (3/4 Delta)^(-1/6) ds.
-
-    Delta must be positive in the interior.  An end that is a root of the
-    discriminant polynomial (compared exactly with the roots it has) is an
-    integrable singularity of known order, removed by a power substitution.
-    """
-    poly = line_discriminant_poly(q0, p)
-    return _time_integral(scale_to_ints(poly), _poly_real_roots(poly), s_from, s_to)
+    """Physical time across [s_from, s_to] on the line q0 + s p (see Line.time)."""
+    return Line(q0, p).time(s_from, s_to)
 
 
-def _time_integral(scaled, roots, s_from: float, s_to: float) -> float:
-    """time_integral on the line whose discriminant polynomial is poly,
-    with scaled = scale_to_ints(poly) and roots = _poly_real_roots(poly);
-    an end equal to one of the roots takes that root's multiplicity.
-
-    One quadrature runs across the whole interval.  It starts at the end
-    that is a root, or else at the end where Delta is smaller, since the
-    polynomial shifted to the start is exact where the integrand is
-    largest.  An interval whose two ends are roots is split at its
-    midpoint.
-    """
-    if s_from == s_to:
-        return 0.0
-    mult = dict(roots)
-    a, b = sorted((s_from, s_to))
-    ka, kb = mult.get(a, 0), mult.get(b, 0)
-    if ka and kb:
-        mid = 0.5 * (a + b)
-        total = (_end_integral(_taylor_shift(scaled, a, 1), mid - a, ka)
-                 + _end_integral(_taylor_shift(scaled, b, -1), b - mid, kb))
-    else:
-        if ka or kb:
-            at_b = bool(kb)
-        else:  # |Delta(b)| < |Delta(a)|, compared exactly
-            (va, da), (vb, db) = _scaled_value(scaled[0], a), _scaled_value(scaled[0], b)
-            at_b = abs(vb) * da < abs(va) * db
-        end, sign, k = (b, -1, kb) if at_b else (a, 1, ka)
-        total = _end_integral(_taylor_shift(scaled, end, sign), b - a, k)
-    return total if s_from < s_to else -total
-
-
-def _end_integral(shifted, width: float, k: int) -> float:
+def _end_integral(shifted, width: float, k: int, gap: float = math.inf) -> float:
     """Integral of (3/4 Delta)^(-1/6) over u in [0, width], where shifted
     holds the coefficients of Delta in u = |s - end| from _taylor_shift,
-    end is a root of multiplicity k (0 if none), and Delta is positive
-    in between.
+    end is a root of multiplicity k (0 if none), Delta is positive in
+    between, and the nearest root beyond end lies at u = -gap.
 
     The shift runs on exact values, so the k lowest coefficients, which
     vanish at an exact root, are dropped: the rest is h with Delta =
     u^k h(u).  With u = v^e, e = 6/(6 - k), the integrand becomes
-    e (3/4 h(v^e))^(-1/6), which is bounded.
+    e (3/4 h(v^e))^(-1/6), which is bounded.  When end is no root but
+    gap < width, the integrand varies on the scale of gap next to u = 0;
+    with u = gap (e^x - 1) it becomes gap e^x (3/4 h(u))^(-1/6), which
+    varies on a scale of 1 in x.
     """
     h = shifted[:len(shifted) - k]
-    expo = 6.0 / (6.0 - k)
+    if k == 0 and gap < width:
+        def integrand(x):
+            val = _poly_eval(h, gap * math.expm1(x))
+            if val <= 0:
+                return 0.0
+            return gap * math.exp(x) * (0.75 * val) ** (-1.0 / 6.0)
 
-    def integrand(v):
-        val = _poly_eval(h, v ** expo)
-        if val <= 0:
-            return 0.0
-        return expo * (0.75 * val) ** (-1.0 / 6.0)
+        upper = math.log1p(width / gap)
+    else:
+        expo = 6.0 / (6.0 - k)
 
-    val, _ = _sciint.quad(integrand, 0.0, width ** (1.0 / expo), limit=300,
-                          epsabs=1e-13, epsrel=1e-12)
+        def integrand(v):
+            val = _poly_eval(h, v ** expo)
+            if val <= 0:
+                return 0.0
+            return expo * (0.75 * val) ** (-1.0 / 6.0)
+
+        upper = width ** (1.0 / expo)
+    val, _ = _sciint.quad(integrand, 0.0, upper, limit=300, epsabs=1e-13, epsrel=1e-12)
     return val
 
 
@@ -342,20 +371,14 @@ def advance(state: FlowState, ds: float):
     the step, the state is clamped to the boundary point and clamped is
     True.
     """
-    poly = line_discriminant_poly(state.q, state.p)
-    roots = _poly_real_roots(poly)
-    s_target = ds
-    hits = [r for r, _ in roots if (0 < r <= ds if ds > 0 else ds <= r < 0)]
-    clamped = False
-    if hits:
-        s_target = min(hits, key=abs)
-        clamped = True
-    dt = _time_integral(scale_to_ints(poly), roots, 0.0, s_target)
-    q_new = line_cubic(state.q, state.p, s_target)
+    line = Line(state.q, state.p)
+    end = line.boundary(ds)
+    s_target = ds if end is None else end
+    q_new = line.cubic(s_target)
     return (
-        FlowState(q=q_new, p=state.p, s=state.s + s_target, t=state.t + dt,
-                  detg=clock_detg(q_new)),
-        clamped,
+        FlowState(q=q_new, p=state.p, s=state.s + s_target,
+                  t=state.t + line.time(0.0, s_target), detg=clock_detg(q_new)),
+        end is not None,
     )
 
 
@@ -418,9 +441,6 @@ class Trajectory:
     states: list = field(default_factory=list)
     frames: list = field(default_factory=list)
 
-    def qs(self):
-        return [st.q for st in self.states]
-
 
 def _nearest_frame(q: BinaryForm, prev: Optional[GL2]) -> GL2:
     """The det > 0 preimage of q nearest prev, or nearest the identity at the start."""
@@ -436,18 +456,16 @@ def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
     discriminant.  Frames are chosen on the continuous det > 0 branch.
     """
     traj = Trajectory(p=p, q_start=q_start)
-    poly = line_discriminant_poly(q_start, p)
-    scaled, roots = scale_to_ints(poly), _poly_real_roots(poly)
+    line = Line(q_start, p)
     prev_g = None
     prev_s = None
     t = 0.0
     for s in s_values:
-        q = line_cubic(q_start, p, s)
-        disc = float(discriminant(q))
-        if disc <= 0:
+        q = line.cubic(s)
+        if float(discriminant(q)) <= 0:
             raise ValueError(f"discriminant not positive at s={s}")
         if prev_s is not None:
-            t += _time_integral(scaled, roots, prev_s, s)
+            t += line.time(prev_s, s)
         g = _nearest_frame(q, prev_g)
         traj.states.append(FlowState(q=q, p=p, s=float(s), t=t, detg=clock_detg(q)))
         traj.frames.append(g)
@@ -662,14 +680,13 @@ def no_complete_line_witness(p: BinaryForm) -> tuple[float, int]:
         raise ValueError("p must satisfy the half-flat condition l2 = l4")
     ints, _ = scale_to_ints(Q0.coeffs + p.coeffs)
     # Delta is quartic in the coefficients: this is d^4 Delta(Q0 + s p) on ints
-    poly = line_discriminant_poly(BinaryForm(3, ints[:4]), BinaryForm(3, ints[4:]))
-    roots = _poly_real_roots(poly)
-    for r, _ in roots:
+    line = Line(BinaryForm(3, ints[:4]), BinaryForm(3, ints[4:]))
+    for r, _ in line.roots:
         for s in (math.nextafter(r, -math.inf), math.nextafter(r, math.inf)):
-            if _poly_eval(poly, F(s)) < 0:
+            if _poly_eval(line.poly, F(s)) < 0:
                 return s, 0
-    if roots:
-        return roots[0]
+    if line.roots:
+        return line.roots[0]
     raise ArithmeticError("half-flat line with everywhere-positive discriminant")
 
 

@@ -19,52 +19,52 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .binaryform import GL2
 from .curvature import koszul_connection, koszul_riemann
-from .exterior import CEOperator, KForm
+from .exterior import BASIS, CEOperator
 from .flow import SIGMA2, Trajectory
 from .stableform import B3_MATRIX, SIGMA, hitchin_dual_rows
 from .variety import LieAlgebraClass, ModelPoint, bracket_constants, classify
 
 
-@dataclass
-class G2Sample:
-    """One time slice: phi and star_phi split into (form on the group,
-    dt-factor form), plus the 7x7 metric in the frame (e^1..e^6, dt)."""
+@dataclass(frozen=True)
+class G2Samples:
+    """The time slices of phi = detg sigma_0 ^ dt + gamma and
+    star_phi = detg^2 sigma_0^2 / 2 + gamma_hat ^ dt along a trajectory:
+    t and detg of shape (n,), gamma and gamma_hat of shape (n, 20) in
+    BASIS[3] order, and the GL2 frame of each slice."""
 
-    t: float
-    phi_space: KForm       # degree 3, the gamma(t) part
-    phi_dt: KForm          # degree 2, wedged with dt
-    star_space: KForm      # degree 4, sigma(t)^2/2
-    star_dt: KForm         # degree 3, wedged with dt
-    metric7: np.ndarray
+    t: np.ndarray
+    detg: np.ndarray
+    gamma: np.ndarray
+    gamma_hat: np.ndarray
+    frames: list
 
-    def phi_terms(self) -> dict:
-        return _seven_terms(self.phi_space, self.phi_dt)
+    def __len__(self) -> int:
+        return len(self.t)
 
-    def starphi_terms(self) -> dict:
-        return _seven_terms(self.star_space, self.star_dt)
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "phi_terms": [{"idx": list(k), "value": v} for k, v in sorted(self.phi_terms().items())],
-            "starphi_terms": [{"idx": list(k), "value": v} for k, v in sorted(self.starphi_terms().items())],
-            "metric7": [[float(x) for x in row] for row in self.metric7],
-        }
+    def to_json(self) -> list[dict]:
+        """One dict per slice: t, the nonzero terms of phi and star_phi
+        (index 7 is dt) and the 7x7 metric in the frame (e^1..e^6, dt)."""
+        return [{"t": t,
+                 "phi_terms": _json_terms(3, gamma, detg * _SIGMA),
+                 "starphi_terms": _json_terms(4, detg * detg * _HALF_SIGMA2, ghat),
+                 "metric7": block_diag(frame_metric6(g), 1.0).tolist()}
+                for t, detg, gamma, ghat, g in zip(self.t.tolist(), self.detg.tolist(),
+                                                   self.gamma, self.gamma_hat, self.frames)]
 
 
-def _seven_terms(space: KForm, dt_part: KForm) -> dict:
-    out = {}
-    for idx, c in space.coeffs.items():
-        out[idx] = float(c)
-    for idx, c in dt_part.coeffs.items():
-        out[idx + (7,)] = float(c)
-    return out
+def _json_terms(k: int, space: np.ndarray, dt_part: np.ndarray) -> list[dict]:
+    """The nonzero terms of space + dt_part ^ dt, sorted by index, where
+    space and dt_part are rows in BASIS[k] and BASIS[k - 1] order."""
+    idxs = BASIS[k] + tuple(idx + (7,) for idx in BASIS[k - 1])
+    vals = np.concatenate([space, dt_part]).tolist()
+    return [{"idx": list(idx), "value": v} for idx, v in sorted(zip(idxs, vals)) if v != 0]
 
 
 def frame_metric6(g: GL2) -> np.ndarray:
@@ -78,11 +78,11 @@ def frame_metric6(g: GL2) -> np.ndarray:
     return out
 
 
-_SIGMA = SIGMA.to_float()
-_HALF_SIGMA2 = 0.5 * SIGMA2.to_float()
+_SIGMA = SIGMA.to_float().to_vector(float)
+_HALF_SIGMA2 = (0.5 * SIGMA2.to_float()).to_vector(float)
 
 
-def assemble_g2(traj: Trajectory) -> list[G2Sample]:
+def assemble_g2(traj: Trajectory) -> G2Samples:
     """Build the 7-dimensional samples along a trajectory.
 
     sigma(t) = det g * sigma_0; gamma(t) is the invariant 3-form of the
@@ -98,50 +98,38 @@ def assemble_g2(traj: Trajectory) -> list[G2Sample]:
     if n < len(stable):
         warnings.warn(f"trajectory truncated at t = {traj.states[n].t}: "
                       "3-form no longer stable of complex type")
-    samples = []
-    for st, g, gamma, ghat in zip(traj.states[:n], traj.frames, gammas, ghats):
-        metric7 = np.eye(7)
-        metric7[:6, :6] = frame_metric6(g)
-        samples.append(G2Sample(
-            t=st.t,
-            phi_space=KForm.from_vector(3, gamma),
-            phi_dt=st.detg * _SIGMA,
-            star_space=(st.detg * st.detg) * _HALF_SIGMA2,
-            star_dt=KForm.from_vector(3, ghat),
-            metric7=metric7,
-        ))
-    return samples
+    states = traj.states[:n]
+    return G2Samples(t=np.array([st.t for st in states], dtype=float),
+                     detg=np.array([st.detg for st in states], dtype=float),
+                     gamma=gammas[:n], gamma_hat=ghats[:n], frames=traj.frames[:n])
 
 
 def central_difference(f: Callable, h: float):
     """Fourth-order central difference (f(-2) - 8 f(-1) + 8 f(1) - f(2)) / (12 h),
     where f(k) is the value k steps of size h away from the centre.  The
-    values may be floats, arrays or KForms."""
+    values may be floats or arrays."""
     return (f(-2) - 8.0 * f(-1) + 8.0 * f(1) - f(2)) / (12.0 * h)
 
 
-def check_closedness(samples: Sequence[G2Sample], d: CEOperator,
-                     star_dt_sign: float = 1.0):
+def check_closedness(samples: G2Samples, d: CEOperator, star_dt_sign: float = 1.0):
     """(max |d phi|, max |d star_phi|) over interior samples.
 
     Exterior derivative in the six group directions comes from the
     algebra; the time direction uses fourth-order central differences,
     so at least five equally spaced samples are needed.  Each form family
-    is stacked into one array of coefficient rows, so every d_k is one
-    matrix product.
+    is an array of coefficient rows, so every d_k is one matrix product.
     """
-    if len(samples) < 5:
-        raise ValueError("need at least 5 samples for 4th-order differences")
-    ts = [s.t for s in samples]
-    h = ts[1] - ts[0]
-    for i in range(len(ts) - 1):
-        if abs((ts[i + 1] - ts[i]) - h) > 1e-9 * max(1.0, abs(h)):
-            raise ValueError("samples must be equally spaced in t")
-    d = d.to_float()
-    gammas, sigmas, half_sigma2s, ghats = (
-        np.array([form.to_vector(float) for form in family])
-        for family in zip(*((s.phi_space, s.phi_dt, s.star_space, s.star_dt) for s in samples)))
     n = len(samples)
+    if n < 5:
+        raise ValueError("need at least 5 samples for 4th-order differences")
+    steps = np.diff(samples.t)
+    h = steps[0]
+    if np.any(np.abs(steps - h) > 1e-9 * max(1.0, abs(h))):
+        raise ValueError("samples must be equally spaced in t")
+    d = d.to_float()
+    gammas, ghats = samples.gamma, samples.gamma_hat
+    sigmas = samples.detg[:, None] * _SIGMA
+    half_sigma2s = (samples.detg * samples.detg)[:, None] * _HALF_SIGMA2
     inner = slice(2, n - 2)
 
     def ddt(rows):

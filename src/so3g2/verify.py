@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import mat_det, mat_rank, scale_to_ints, sym_signature
+from ._exact import mat_det, mat_rank, sym_signature
 from .binaryform import (
     BinaryForm,
     GL2,
@@ -35,6 +35,7 @@ from .exterior import CEOperator, KForm, d_squared_residual
 from .flow import (
     CANONICAL_GENERATORS,
     InvalidEndpoint,
+    Line,
     Q0,
     Trajectory,
     FlowState,
@@ -57,7 +58,6 @@ from .flow import (
     _poly_deriv,
     _poly_eval,
     _poly_real_roots,
-    _time_integral,
 )
 from .g2 import (
     assemble_g2,
@@ -418,12 +418,10 @@ def suite_flow_clock(seed: int = 6, n_samples: int = 20) -> SuiteResult:
         d = structure_constants(ModelPoint.make(x, y))
         p_read = flow_torsion_cubic(d)
         orc = direct_ode_oracle(d, GL2.identity(), (0.0, 0.15), n_samples=7)
-        poly = line_discriminant_poly(Q0.to_float(), p_read)
-        scaled, roots = scale_to_ints(poly), _poly_real_roots(poly)
+        line = Line(Q0.to_float(), p_read)
         for i, t in enumerate(orc.ts):
-            f = lambda s: _time_integral(scaled, roots, 0.0, s) - t
-            s_t = brentq(f, -0.2, 0.9, xtol=1e-13)
-            q_closed = line_cubic(Q0.to_float(), p_read, s_t)
+            s_t = brentq(lambda s: line.time(0.0, s) - t, -0.2, 0.9, xtol=1e-13)
+            q_closed = line.cubic(s_t)
             worst_oracle = max(worst_oracle, max(
                 abs(float(aa) - float(bb))
                 for aa, bb in zip(q_closed.coeffs, orc.qs[i].coeffs)))

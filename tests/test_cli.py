@@ -135,7 +135,7 @@ def test_flow_g2_samples_are_those_of_the_sampled_line(capsys):
     assert data == json.loads(plain)
     traj = integrate_line(BinaryForm(3, [1.0, 0.0, -1.0, 0.0]), BinaryForm(3, [1 / 3, 0.0, -1.0, 0.0]),
                           [row[0] for row in data["rows"]])
-    assert samples == json.loads(json.dumps([s.to_json() for s in assemble_g2(traj)]))
+    assert samples == json.loads(json.dumps(assemble_g2(traj).to_json()))
 
 
 def test_flow_stops_at_a_boundary_root_next_to_the_start(capsys):

@@ -698,6 +698,20 @@ def test_flow_cli_clock_ends_exactly_at_a_triple_root(capsys):
     assert abs(rows[-1][1] - 2.0) < 1e-12
 
 
+def test_flow_cli_clock_just_short_of_a_triple_root(capsys):
+    # Delta = (32/3) (2 - s)^3, so t = 2 - sqrt(2 (2 - s)); the last row ends
+    # 1e-9 short of the root, so its integrand varies on a scale of 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        assert main(["flow", "--p", "0,0,1,0", "--q0", "8/3,0,-2,0", "--s-max", "1.999999999",
+                     "--steps", "4"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows[-1][0] == 1.999999999
+    for s, t, *_ in rows:
+        exact = 2 - math.sqrt(2 * (2 - s))
+        assert abs(t - exact) <= 1e-12 * exact, (s, t, exact)
+
+
 def test_flow_cli_stops_at_the_zero_cubic(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
@@ -739,9 +753,7 @@ def _multiple_root_line(rng, k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_clock_at_a_multiple_root_against_mpmath(k):
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 30
+def test_clock_at_a_multiple_root_against_mpmath(mpmath, k):
     rng = random.Random(100 + k)
     for _ in range(6):
         q0, p, r, s0, (q_r, p_n), det = _multiple_root_line(rng, k)
@@ -760,7 +772,7 @@ def test_clock_at_a_multiple_root_against_mpmath(k):
         end, mult = min(roots, key=lambda rk: abs(rk[0] - r))
         assert mult == k and abs(end - r) <= 1e-12 * abs(r)
         got = time_integral(q0, p, float(s0), end)
-        assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (k, q0, p, got, ref)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (k, q0, p, got, ref)
 
 
 @pytest.fixture
@@ -816,11 +828,13 @@ def test_one_piece_clock_next_to_a_root_against_mpmath(mpmath, k):
             return (scale * t ** k * mpmath.polyval(h, t)) ** (-mpmath.mpf(1) / 6)
 
         side = 1 if s0 > r else -1
-        for gap in (1e-3, 1e-6):
+        for gap in (1e-3, 1e-6, 1e-9, 1e-12):
             end = float(r) + side * gap * max(1.0, abs(float(r)))
             ref = mpmath.quad(integrand, [_mp(s0 - r), _mp(F(end) - r)])
             for a, b, sign in ((float(s0), end, 1), (end, float(s0), -1)):
-                got = time_integral(q0, p, a, b)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", IntegrationWarning)
+                    got = time_integral(q0, p, a, b)
                 assert abs(got - sign * ref) <= 1e-12 * abs(ref), (k, gap, got, ref)
 
 

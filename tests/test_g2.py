@@ -299,12 +299,18 @@ def test_ricci7_of_product_matches_six_dim_oracle(rng):
 def test_g2_sample_export():
     d, traj = bs_setup(t_len=0.004)
     samples = assemble_g2(traj)
-    payload = samples[0].to_json()
-    assert set(payload) == {"t", "phi_terms", "starphi_terms", "metric7"}
-    idxs = [tuple(t["idx"]) for t in payload["phi_terms"]]
+    n = len(traj.states)
+    assert len(samples) == n
+    assert samples.t.shape == samples.detg.shape == (n,)
+    assert samples.gamma.shape == samples.gamma_hat.shape == (n, 20)
+    assert samples.frames == traj.frames
+    payload = samples.to_json()
+    assert len(payload) == n
+    assert set(payload[0]) == {"t", "phi_terms", "starphi_terms", "metric7"}
+    idxs = [tuple(t["idx"]) for t in payload[0]["phi_terms"]]
     assert any(7 in idx for idx in idxs)      # the sigma ^ dt part
     assert any(7 not in idx for idx in idxs)  # the gamma part
-    assert len(payload["metric7"]) == 7
+    assert len(payload[0]["metric7"]) == 7
 
 
 def test_assemble_truncates_at_stability_loss(recwarn):
@@ -372,11 +378,11 @@ def test_closedness_matches_per_sample_loop(x, y):
     samples = assemble_g2(traj)
     forms = loop_assemble(traj)
     assert len(samples) == len(forms) == 61
-    for sample, (gamma, sigma_t, half_sigma2, ghat) in zip(samples, forms):
-        assert sample.phi_space == gamma
-        assert sample.phi_dt == sigma_t
-        assert sample.star_space == half_sigma2
-        assert (sample.star_dt - ghat).max_abs() <= 1e-14 * ghat.max_abs()
+    assert samples.t.tolist() == [st.t for st in traj.states]
+    assert samples.detg.tolist() == [st.detg for st in traj.states]
+    for gamma_row, ghat_row, (gamma, _, _, ghat) in zip(samples.gamma, samples.gamma_hat, forms):
+        assert gamma_row.tolist() == gamma.to_vector(float).tolist()
+        assert np.abs(ghat_row - ghat.to_vector(float)).max() <= 1e-14 * ghat.max_abs()
     for sign in (1.0, -1.0):
         got = check_closedness(samples, d, star_dt_sign=sign)
         want = loop_closedness(forms, d, tg[1] - tg[0], star_dt_sign=sign)
@@ -384,3 +390,57 @@ def test_closedness_matches_per_sample_loop(x, y):
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
         # the opposite star_dt sign fails on every class
         assert (got[1] > 1e-2) == (sign < 0)
+
+
+def loop_export(traj):
+    """assemble_g2(traj).to_json() built one sample at a time from the
+    KForms of loop_assemble and the frame metric."""
+    def terms(space, dt_part):
+        pairs = [(idx, float(c)) for idx, c in space.coeffs.items()]
+        pairs += [(idx + (7,), float(c)) for idx, c in dt_part.coeffs.items()]
+        return [{"idx": list(idx), "value": v} for idx, v in sorted(pairs)]
+
+    out = []
+    for st, g, (gamma, sigma_t, half_sigma2, ghat) in zip(traj.states, traj.frames,
+                                                          loop_assemble(traj)):
+        metric7 = np.eye(7)
+        metric7[:6, :6] = frame_metric6(g)
+        out.append({"t": st.t, "phi_terms": terms(gamma, sigma_t),
+                    "starphi_terms": terms(half_sigma2, ghat), "metric7": metric7.tolist()})
+    return out
+
+
+def assert_export_matches(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert set(g) == set(w)
+        assert g["t"] == w["t"] and g["metric7"] == w["metric7"]
+        assert g["phi_terms"] == w["phi_terms"]   # gamma and sigma ^ dt, exactly
+        g_star, w_star = ({tuple(t["idx"]): t["value"] for t in x["starphi_terms"]}
+                          for x in (g, w))
+        # sigma^2 / 2 exactly, gamma_hat ^ dt to rounding
+        assert {k: v for k, v in g_star.items() if 7 not in k} \
+            == {k: v for k, v in w_star.items() if 7 not in k}
+        scale = max(abs(v) for k, v in w_star.items() if 7 in k)
+        assert all(abs(g_star.get(k, 0.0) - w_star.get(k, 0.0)) <= 1e-14 * scale
+                   for k in set(g_star) | set(w_star) if 7 in k)
+
+
+@pytest.mark.parametrize("x, y", MODEL_CLASSES)
+def test_g2_export_matches_per_sample_forms(x, y):
+    d = structure_constants(ModelPoint.make(x, y))
+    traj = integrate_time_grid(flow_torsion_cubic(d), Q0.to_float(), 0.0, np.linspace(0.0, 0.06, 13))
+    assert_export_matches(assemble_g2(traj).to_json(), loop_export(traj))
+
+
+def test_g2_export_of_a_truncated_trajectory():
+    p = BinaryForm(3, [1.0, 0.0, -1.0, 0.0])
+    traj = integrate_line(p, Q0.to_float(), np.linspace(0.0, 0.3, 6))
+    kept = Trajectory(p=p, q_start=traj.q_start, states=list(traj.states), frames=list(traj.frames))
+    # a last state past the boundary: u1^3 + u1 u2^2 has one real root, so Delta < 0
+    traj.states.append(FlowState(q=BinaryForm(3, [1.0, 0.0, 1.0, 0.0]), p=p, s=9.0, t=9.0, detg=0.0))
+    traj.frames.append(GL2.identity())
+    with pytest.warns(UserWarning, match="truncated"):
+        samples = assemble_g2(traj)
+    assert len(samples) == 6
+    assert_export_matches(samples.to_json(), loop_export(kept))
