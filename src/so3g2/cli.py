@@ -212,8 +212,10 @@ def cmd_flow(args) -> int:
         "endpoint": endpoint_report,
     }
     if args.g2_samples:
-        # a boundary root has no frame, so the G2 samples stop one row short of it
-        traj = integrate_line(p.to_float(), q0.to_float(), svals if hit is None else svals[:-1])
+        # a boundary root has no frame, nor has a row whose float Delta is not
+        # positive (rounding next to a root): the G2 samples stop before either
+        n = next((i for i, row in enumerate(rows) if row[0] == hit or row[7] <= 0), len(rows))
+        traj = integrate_line(p, q0, svals[:n])
         data["g2_samples"] = assemble_g2(traj).to_json()
     _emit(data, args.output, args.format)
     return 0

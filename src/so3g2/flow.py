@@ -24,7 +24,7 @@ from scipy import integrate as _sciint
 
 from ._exact import mat_rank, nullspace, scale_to_ints
 from .binaryform import BinaryForm, GL2, discriminant, hessian, q_invert, q_map
-from .exterior import BASIS, CEOperator, KForm, apply_d, wedge
+from .exterior import BASIS, CEOperator, apply_d, wedge
 from .stableform import (
     B3_MATRIX,
     SIGMA,
@@ -452,20 +452,20 @@ def _nearest_frame(q: BinaryForm, prev: Optional[GL2]) -> GL2:
 def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
     """Sample the closed-form flow along prescribed line parameters.
 
-    s_values are offsets from q_start; the interior must have positive
-    discriminant.  Frames are chosen on the continuous det > 0 branch.
+    s_values are offsets from q_start, and t is measured from q_start
+    (s = 0); the interior must have positive discriminant.  Frames are
+    chosen on the continuous det > 0 branch.
     """
     traj = Trajectory(p=p, q_start=q_start)
     line = Line(q_start, p)
     prev_g = None
-    prev_s = None
+    prev_s = 0.0
     t = 0.0
     for s in s_values:
         q = line.cubic(s)
         if float(discriminant(q)) <= 0:
             raise ValueError(f"discriminant not positive at s={s}")
-        if prev_s is not None:
-            t += line.time(prev_s, s)
+        t += line.time(prev_s, s)
         g = _nearest_frame(q, prev_g)
         traj.states.append(FlowState(q=q, p=p, s=float(s), t=t, detg=clock_detg(q)))
         traj.frames.append(g)
@@ -509,8 +509,6 @@ def integrate_time_grid(p: BinaryForm, q_start: BinaryForm, s0: float,
 @dataclass
 class OracleTrajectory:
     ts: np.ndarray
-    gammas: list
-    sigma2s: list
     qs: list
     cs: np.ndarray
     status: str
@@ -571,12 +569,9 @@ def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60) -> Or
                             dense_output=True, events=boundary, max_step=abs(t_span[1] - t_span[0]) / 8)
     ts = np.linspace(t_span[0], sol.t[-1], n_samples)
     ys = sol.sol(ts)
-    sigma2 = SIGMA2.to_float()
     status = "boundary" if sol.status == 1 else ("ok" if sol.status == 0 else "failed")
     return OracleTrajectory(
         ts=ts,
-        gammas=[KForm.from_vector(3, gamma) for gamma in ys[:4].T @ B3_MATRIX.T],
-        sigma2s=[c * sigma2 for c in ys[4].tolist()],
         qs=[BinaryForm(3, [a / 3.0, b, c, e / 3.0]) for a, b, c, e in ys[:4].T.tolist()],
         cs=ys[4],
         status=status)
@@ -712,61 +707,44 @@ def contraction_plane(a, b, c):
     The plane is cut out by l2 = l4 and the derivative condition
     3c l1 + 4a l2 + (2b - c) l3 = 0; exact rational basis vectors.
     """
-    return nullspace(_plane_rows(a, b, c))
+    return nullspace([[3 * c, 4 * a, 2 * b - c, 0], [0, 1, 0, -1]])
 
 
-def _plane_rows(a, b, c):
-    """The two equations of the candidate plane, in the scalars of (a, b, c)."""
-    return [[3 * c, 4 * a, 2 * b - c, 0], [0, 1, 0, -1]]
+def _tangency_residuals(a, b, c):
+    """Three cubics in (a, b, c) whose common zeros are the generators
+    whose field maps the candidate plane into itself.
 
-
-def contraction_plane_float(a, b, c) -> np.ndarray:
-    """Orthonormal float basis (rows) of the candidate plane, by SVD; the
-    float counterpart of ``contraction_plane``."""
-    _, _, vt = np.linalg.svd(np.array(_plane_rows(a, b, c), dtype=float))
-    return vt[2:]
+    With R the two equations of the plane and X the matrix of
+    contraction_field, the plane is invariant iff rank [R; R X] = 2; the
+    nine 3x3 minors of [R; R X] and these three cubics generate the same
+    ideal (equal Groebner bases).  Their real zeros are seven lines:
+    (1, 0, 0), (0, 1, 3), (0, 1, -1), (+-sqrt3/2, 1, 0), (1, +-sqrt3, +-sqrt3).
+    """
+    return (8 * a * a * b + 4 * a * a * c - 6 * b ** 3 - b * b * c + 4 * b * c * c - c ** 3,
+            c * (12 * a * a - 3 * b * b - 2 * b * c + c * c),
+            a * c * (b - c))
 
 
 def plane_is_invariant(a, b, c) -> bool:
     """Whether the generator field is tangent to its candidate plane and
-    acts nontrivially on it (exact for rational generators)."""
-    basis = contraction_plane(a, b, c)
-    if len(basis) != 2:
-        return False
-    imgs = []
-    nontrivial = False
-    for v in basis:
-        img = contraction_field(a, b, c, BinaryForm(3, v)).coeffs
-        imgs.append(list(img))
-        if any(val != 0 for val in img):
-            nontrivial = True
-    if not nontrivial:
-        return False
-    for img in imgs:
-        if mat_rank(basis + [img]) != 2:
-            return False
-    return True
+    acts nontrivially on it, decided exactly on the Fraction values of
+    (a, b, c).  The field vanishes on its plane only for the zero generator."""
+    gen = [F(a), F(b), F(c)]
+    return any(gen) and not any(_tangency_residuals(*gen))
 
 
 def plane_tangency_defect(a, b, c) -> float:
-    """Scaled least-squares defect of the generator field against its
-    candidate half-flat plane (float inputs welcome; zero iff invariant).
+    """Float tangency defect of the generator field against its candidate
+    half-flat plane: max |P_i| / max(1, |a|, |b|, |c|)^3 over the three
+    cubics of _tangency_residuals (zero iff invariant).
 
-    Infinite when the field vanishes identically on the plane, so that a
-    trivial orbit never counts as qualifying.
+    Infinite for the zero generator, whose field vanishes on the plane,
+    so that a trivial orbit never counts as qualifying.
     """
-    null = contraction_plane_float(a, b, c)
-    defect = 0.0
-    size = 0.0
-    for v in null:
-        img = np.array([float(x) for x in
-                        contraction_field(a, b, c, BinaryForm(3, list(v))).coeffs])
-        size = max(size, float(np.linalg.norm(img)))
-        coef, *_ = np.linalg.lstsq(null.T, img, rcond=None)
-        defect = max(defect, float(np.linalg.norm(null.T @ coef - img)))
-    if size < 1e-10 * max(1.0, abs(a), abs(b), abs(c)):
+    a, b, c = float(a), float(b), float(c)
+    if a == b == c == 0:
         return math.inf
-    return defect / max(1.0, size)
+    return max(map(abs, _tangency_residuals(a, b, c))) / max(1.0, abs(a), abs(b), abs(c)) ** 3
 
 
 CANONICAL_GENERATORS = ((1, 0, 0), (0, 1, 3), (0, 1, -1))

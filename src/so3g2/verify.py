@@ -40,7 +40,6 @@ from .flow import (
     Trajectory,
     FlowState,
     contraction_plane,
-    contraction_plane_float,
     plane_tangency_defect,
     direct_ode_oracle,
     endpoint_classify,
@@ -663,22 +662,25 @@ def suite_contractions() -> SuiteResult:
         return False
 
     bad = []
-    for gen in qualifying:
+    for gen in qualifying + qualifying_f:
         basis = contraction_plane(*gen)
         if any(planes_equal(basis, cb) for cb in canonical):
             continue
         if not matches_canonical([[float(x) for x in v] for v in basis]):
             bad.append(gen)
-    for gen in qualifying_f:
-        if not matches_canonical([list(v) for v in contraction_plane_float(*gen)]):
-            bad.append(gen)
     found = [any(planes_equal(contraction_plane(*gen), cb) for gen in qualifying)
              for cb in canonical]
-    # the flow preserves the first plane and exits the other two
+    # the flow preserves the first plane and exits the other two; the
+    # written-out frame change must agree with the substitution action
+    act_gaps = []
+
     def lambda_path(p, s_max):
         svals = np.linspace(0.0, s_max, 5)
         traj = integrate_line(p, Q0.to_float(), svals)
-        return [frame_change_torsion(p, g) for g in traj.frames]
+        lams = [frame_change_torsion(p, g) for g in traj.frames]
+        act_gaps.extend(abs(float(x) - float(y)) for g, l in zip(traj.frames, lams)
+                        for x, y in zip(l.coeffs, act(g, p).coeffs))
+        return lams
 
     lams = lambda_path(BinaryForm(3, [0.7, 0.0, -1.3, 0.0]), 0.25)
     keep = max(max(abs(float(l.coeffs[1])), abs(float(l.coeffs[3]))) for l in lams)
@@ -689,7 +691,7 @@ def suite_contractions() -> SuiteResult:
     exit_01m1 = abs(float(lams[-1].coeffs[0]) - float(lams[-1].coeffs[2]))
     start_01m1 = abs(float(lams[0].coeffs[0]) - float(lams[0].coeffs[2]))
     flow_ok = (keep < 1e-10 and start_013 < 1e-10 and exit_013 > 1e-4
-               and start_01m1 < 1e-10 and exit_01m1 > 1e-4)
+               and start_01m1 < 1e-10 and exit_01m1 > 1e-4 and max(act_gaps) <= 1e-12)
     passed = not bad and all(found) and flow_ok
     detail = (f"{len(qualifying)} qualifying generators on the grid, "
               f"{len(bad)} unmatched; canonical found {found}; "

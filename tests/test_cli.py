@@ -138,6 +138,34 @@ def test_flow_g2_samples_are_those_of_the_sampled_line(capsys):
     assert samples == json.loads(json.dumps(assemble_g2(traj).to_json()))
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "1,0,-1,0", "--q0", "1/3,0,-1,0", "--s-max", "0.5", "--steps", "5"],
+    ["--p", "1/2,1/5,-1,1/5", "--q0", "1/3,0,-1,0", "--s-max", "1.5", "--steps", "7"],
+    ["--p=-1,0,0,0", "--q0", "1/3,0,-1,0", "--direction", "1", "--steps", "6"],
+])
+def test_flow_g2_sample_times_are_the_row_times(capsys, argv):
+    code, out = run_cli(capsys, "flow", *argv, "--g2-samples")
+    assert code == 0
+    data = json.loads(out)
+    rows, samples = data["rows"], data["g2_samples"]
+    assert samples
+    assert [g["t"] for g in samples] == [row[1] for row in rows[:len(samples)]]
+
+
+def test_flow_g2_samples_stop_before_a_row_with_delta_not_positive(capsys):
+    # s-max lies within rounding below the line's root, so no boundary is
+    # hit, and the float Delta of the last row is -5.6e-17
+    code, out = run_cli(capsys, "flow",
+                        "--p=0.25574561836315185,-0.4586838092953731,1.0358638360176367,"
+                        "-0.4586838092953731", "--q0=1/3,0,-1,0",
+                        "--s-max=0.4089819534927689", "--g2-samples")
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["rows"]) == 80 and data["rows"][-1][7] <= 0
+    assert data["endpoint"] == {}
+    assert len(data["g2_samples"]) == 79
+
+
 def test_flow_stops_at_a_boundary_root_next_to_the_start(capsys):
     # Delta = 4 (10^-13 - s): the simple root at s = 10^-13 ends the line
     code, out = run_cli(capsys, "flow", "--p=-1,0,0,0", "--q0=1/10000000000000,0,-1,0",

@@ -471,6 +471,68 @@ def test_plane_tangency_defect_float_families():
         assert plane_tangency_defect(*gen) < 1e-12
     for gen in [(1.0, 1.0, 0.0), (1.0, s3 * 1.01, s3), (0.5, 1.0, 2.9)]:
         assert plane_tangency_defect(*gen) > 1e-4
+    assert plane_tangency_defect(0.0, 0.0, 0.0) == math.inf
+
+
+def _plane_and_image_rows(a, b, c):
+    """[R; R X]: the plane's two equations and their pullbacks by the field."""
+    rows = [[3 * c, 4 * a, 2 * b - c, 0], [0, 1, 0, -1]]
+    cols = [contraction_field(a, b, c, BinaryForm(3, e)).coeffs for e in np.eye(4, dtype=int).tolist()]
+    return rows + [[sum(r[i] * col[i] for i in range(4)) for col in cols] for r in rows]
+
+
+def test_plane_is_invariant_is_the_rank_condition_on_the_grid():
+    from so3g2._exact import mat_rank
+    for gen in itertools.product(range(-3, 4), repeat=3):
+        expected = any(gen) and mat_rank(_plane_and_image_rows(*map(F, gen))) == 2
+        assert plane_is_invariant(*gen) == expected, gen
+    assert not plane_is_invariant(0, 0, 0)
+
+
+def _minors3(m):
+    return [m.extract(list(r), list(k)).det()
+            for r in itertools.combinations(range(m.rows), 3)
+            for k in itertools.combinations(range(m.cols), 3)]
+
+
+def _projective_real_zeros(sp, polys, a, b, c):
+    """Real common zeros of homogeneous polys in (a, b, c), one point per line,
+    on the charts c = 1, (b, c) = (1, 0) and (1, 0, 0)."""
+    pts = [(s[a], s[b], 1) for s in sp.solve([f.subs(c, 1) for f in polys], [a, b], dict=True)]
+    pts += [(s[a], 1, 0) for s in sp.solve([f.subs({b: 1, c: 0}) for f in polys], [a], dict=True)]
+    if all(f.subs({a: 1, b: 0, c: 0}) == 0 for f in polys):
+        pts.append((1, 0, 0))
+    pts = [tuple(map(sp.sympify, pt)) for pt in pts]
+    return {pt for pt in pts if all(v.is_real for v in pt)}
+
+
+def test_tangency_cubics_are_the_rank_condition():
+    sp = pytest.importorskip("sympy")
+    from so3g2.flow import _tangency_residuals
+    a, b, c = sp.symbols("a b c")
+    lam = sp.symbols("l1:5")
+    field = contraction_field(a, b, c, BinaryForm(3, list(lam))).coeffs
+    x = sp.Matrix([[sp.expand(f).coeff(l) for l in lam] for f in field])
+    r = sp.Matrix([[3 * c, 4 * a, 2 * b - c, 0], [0, 1, 0, -1]])
+    minors = sp.groebner(_minors3(r.col_join(r * x)), a, b, c, order="grevlex")
+    cubics = _tangency_residuals(a, b, c)
+    assert sp.groebner(cubics, a, b, c, order="grevlex") == minors
+    # the real zeros are seven generator lines, three of them rational
+    s3 = sp.sqrt(3)
+    lines = {(0, sp.Rational(1, 3), 1), (0, -1, 1), (1, 0, 0), (s3 / 3, 1, 1),
+             (-s3 / 3, 1, 1), (s3 / 2, 1, 0), (-s3 / 2, 1, 0)}
+    assert _projective_real_zeros(sp, cubics, a, b, c) == {
+        tuple(map(sp.sympify, pt)) for pt in lines}
+    # the field vanishes on its plane (rank [R; X] = 2) only at the zero
+    # generator: the ideal of those minors holds a^2, b^2 and c^2
+    vanish = sp.groebner(_minors3(r.col_join(x)), a, b, c, order="grevlex")
+    assert all(vanish.contains(v ** 2) for v in (a, b, c))
+    # negative control: 8 -> 9 in the first cubic changes the ideal and
+    # drops the line (sqrt3/2, 1, 0)
+    wrong = (cubics[0] + a * a * b,) + cubics[1:]
+    assert sp.groebner(wrong, a, b, c, order="grevlex") != minors
+    assert wrong[0].subs({a: s3 / 2, b: 1, c: 0}) != 0
+    assert (s3 / 2, 1, 0) not in _projective_real_zeros(sp, wrong, a, b, c)
 
 
 def test_flow_cli_stops_at_a_simple_boundary_root(capsys):
