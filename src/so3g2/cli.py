@@ -34,7 +34,6 @@ from .flow import (
     endpoint_classify,
     contraction_field,
     halfflat_contraction_planes,
-    integrate_line,
     line_cubic,
     clock_detg,
     plane_is_invariant,
@@ -215,7 +214,7 @@ def cmd_flow(args) -> int:
         # a boundary root has no frame, nor has a row whose float Delta is not
         # positive (rounding next to a root): the G2 samples stop before either
         n = next((i for i, row in enumerate(rows) if row[0] == hit or row[7] <= 0), len(rows))
-        traj = integrate_line(p, q0, svals[:n])
+        traj = line.trajectory(svals[:n])
         data["g2_samples"] = assemble_g2(traj).to_json()
     _emit(data, args.output, args.format)
     return 0

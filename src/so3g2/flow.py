@@ -26,10 +26,10 @@ from ._exact import mat_rank, nullspace, scale_to_ints
 from .binaryform import BinaryForm, GL2, discriminant, hessian, q_invert, q_map
 from .exterior import BASIS, CEOperator, apply_d, wedge
 from .stableform import (
-    B3_MATRIX,
     SIGMA,
-    _invariant_rows,
-    hitchin_dual_rows,
+    _B_DUAL,
+    _B_LAMBDA,
+    _STABLE_TOL,
     threeform_to_cubic,
     volume_gamma,
 )
@@ -300,6 +300,28 @@ class Line:
             total = _end_integral(_taylor_shift(self.scaled, end, sign), b - a, k, gap)
         return total if s_from < s_to else -total
 
+    def trajectory(self, s_values) -> Trajectory:
+        """Sample the closed-form flow along prescribed line parameters.
+
+        s_values are offsets from q0, and t is measured from q0 (s = 0);
+        the interior must have positive discriminant.  Frames are chosen on
+        the continuous det > 0 branch.
+        """
+        traj = Trajectory(p=self.p, q_start=self.q0)
+        prev_g = None
+        prev_s = 0.0
+        t = 0.0
+        for s in s_values:
+            q = self.cubic(s)
+            if float(discriminant(q)) <= 0:
+                raise ValueError(f"discriminant not positive at s={s}")
+            t += self.time(prev_s, s)
+            g = _nearest_frame(q, prev_g)
+            traj.states.append(FlowState(q=q, p=self.p, s=float(s), t=t, detg=clock_detg(q)))
+            traj.frames.append(g)
+            prev_g, prev_s = g, s
+        return traj
+
 
 def time_integral(q0: BinaryForm, p: BinaryForm, s_from: float, s_to: float) -> float:
     """Physical time across [s_from, s_to] on the line q0 + s p (see Line.time)."""
@@ -450,27 +472,8 @@ def _nearest_frame(q: BinaryForm, prev: Optional[GL2]) -> GL2:
 
 
 def integrate_line(p: BinaryForm, q_start: BinaryForm, s_values) -> Trajectory:
-    """Sample the closed-form flow along prescribed line parameters.
-
-    s_values are offsets from q_start, and t is measured from q_start
-    (s = 0); the interior must have positive discriminant.  Frames are
-    chosen on the continuous det > 0 branch.
-    """
-    traj = Trajectory(p=p, q_start=q_start)
-    line = Line(q_start, p)
-    prev_g = None
-    prev_s = 0.0
-    t = 0.0
-    for s in s_values:
-        q = line.cubic(s)
-        if float(discriminant(q)) <= 0:
-            raise ValueError(f"discriminant not positive at s={s}")
-        t += line.time(prev_s, s)
-        g = _nearest_frame(q, prev_g)
-        traj.states.append(FlowState(q=q, p=p, s=float(s), t=t, detg=clock_detg(q)))
-        traj.frames.append(g)
-        prev_g, prev_s = g, s
-    return traj
+    """Sample the closed-form flow along prescribed line parameters (see Line.trajectory)."""
+    return Line(q_start, p).trajectory(s_values)
 
 
 def integrate_time_grid(p: BinaryForm, q_start: BinaryForm, s0: float,
@@ -517,23 +520,29 @@ class OracleTrajectory:
 #: The oracle stops where -lambda / max(1, max|gamma|)^4 falls to this margin.
 #: Towards the boundary gamma_hat grows like (-lambda)^(-1/2), and c' with it,
 #: so the step-size control can only crawl towards lambda = 0.  On seeded
-#: half-flat lines with a simple boundary root this margin stops after about
-#: 2000 right-hand sides, 1.6e-7 to 2.4e-4 in t before the boundary; a margin
-#: of 1e-11 took up to 90000.
+#: half-flat lines with a simple boundary root this margin stops after
+#: 1450 to 2220 right-hand sides, 1.5e-7 to 3.6e-4 in t before the boundary;
+#: a margin of 1e-11 took up to 71000 (median 8200).
 _BOUNDARY_MARGIN = 1e-8
 
 
 def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60) -> OracleTrajectory:
     """Integrate gamma' = d sigma, (sigma^2)' = -2 d gamma_hat directly.
 
-    The state is the invariant 3-form gamma (four coefficients, those of
-    cubic_to_3form in the B basis) together with the coefficient c of
-    sigma^2 against the reference sigma_0^2; gamma_hat is recomputed each
-    step through the stable-form dual.  A terminal event, continuous in
-    the state, is the smaller of c and -lambda(gamma) / max(1, max|gamma|)^4
-    less _BOUNDARY_MARGIN: where it reaches 0 the integration stops just
-    short of the boundary with status "boundary", and the samples cover
-    t_span[0] up to that time.  The initial frame must be half-flat.
+    The state is the invariant 3-form gamma = B3_MATRIX @ y (four
+    coefficients y, those of cubic_to_3form in the B basis) together with
+    the coefficient c of sigma^2 against the reference sigma_0^2.  Each
+    right-hand side reads lambda(gamma) = (y y) Lambda (y y) and
+    sqrt(-lambda) gamma_hat = (y y) G y off the tensors of
+    stableform._invariant_tensors, with G contracted once per call against
+    the e^1234 row of d, and keeps the stability test of hitchin_dual_rows.
+    Lambda and G come from T, not from the cubic covariant, so the oracle
+    stays a route to gamma_hat independent of the closed form.  A terminal
+    event, continuous in the state, is the smaller of c and
+    -lambda(gamma) / max(1, max|gamma|)^4 less _BOUNDARY_MARGIN: where it
+    reaches 0 the integration stops just short of the boundary with status
+    "boundary", and the samples cover t_span[0] up to that time.  The
+    initial frame must be half-flat.
     """
     d = d.to_float()
     p_read = flow_torsion_cubic(d)
@@ -546,22 +555,30 @@ def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60) -> Or
     pv = np.array([3.0 * float(p_read.coeffs[0]), float(p_read.coeffs[1]),
                    float(p_read.coeffs[2]), 3.0 * float(p_read.coeffs[3])])
     # (sigma^2)' = -2 d gamma_hat read on e^1234, where sigma_0^2 has
-    # coefficient 2: c' = -(d gamma_hat)_1234
-    d_1234 = d.d_matrix(3)[BASIS[4].index((1, 2, 3, 4))]
+    # coefficient 2: c' = -(d gamma_hat)_1234 = -(y y) G_1234 y / sqrt(-lambda);
+    # one product (y y) [Lambda | G_1234] serves lambda and c'
+    lam_dual = np.hstack([_B_LAMBDA, _B_DUAL @ d.d_matrix(3)[BASIS[4].index((1, 2, 3, 4))]])
+
+    def invariants(q):
+        """lambda(gamma) and sqrt(-lambda) gamma_hat_1234 for gamma = B3_MATRIX @ q,
+        and the scale max(1, max|gamma|)^4 of the stability test; a row of
+        B3_MATRIX holds at most one 1, so max|gamma| = max|q|."""
+        yy = (q[:, None] * q).ravel()
+        v = yy @ lam_dual
+        return v[:16] @ yy, v[16:] @ q, max(1.0, max(map(abs, q.tolist()))) ** 4
 
     def rhs(_t, y):
-        ghat, stable = hitchin_dual_rows(B3_MATRIX @ y[:4])
-        if not stable:
+        lam, dual_1234, scale = invariants(y[:4])
+        if not lam < -_STABLE_TOL * scale:
             raise ValueError("not stable of complex type")
         dy = np.empty(5)
         dy[:4] = math.sqrt(max(y[4], 0.0)) * pv
-        dy[4] = -(d_1234 @ ghat)
+        dy[4] = -dual_1234 / math.sqrt(-lam)
         return dy
 
     def boundary(_t, y):
-        gamma = B3_MATRIX @ y[:4]
-        _, lam, _ = _invariant_rows(gamma)
-        return min(y[4], -lam / max(1.0, np.abs(gamma).max()) ** 4 - _BOUNDARY_MARGIN)
+        lam, _, scale = invariants(y[:4])
+        return min(y[4], -lam / scale - _BOUNDARY_MARGIN)
 
     boundary.terminal = True
 

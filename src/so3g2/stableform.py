@@ -230,6 +230,28 @@ B3_BASIS = (
 B3_MATRIX = np.stack([b.to_vector(float) for b in B3_BASIS], axis=1)
 
 
+def _invariant_tensors() -> tuple[np.ndarray, np.ndarray]:
+    """Lambda, shape (16, 16), and G, shape (16, 4, 20), with
+
+        lambda(B y) = (y y) Lambda (y y),   sqrt(-lambda) hat(B y) = (y y) G y
+
+    for B = B3_MATRIX, hat Hitchin's dual and y y the flat outer product:
+    the kernel of hitchin_dual_rows restricted to the invariant 3-forms.
+    lambda and its gradient are SO(3)-equivariant, so on invariant forms
+    they stay invariant (symmetric criticality, Palais 1979).  Built from
+    T, _DUAL and B alone: T and B hold 0 and +-1, and 6 _DUAL holds
+    integers, so the sums run on integers and each entry is rounded once.
+    """
+    bb = np.einsum("ia,jb->ijab", B3_MATRIX, B3_MATRIX).reshape(400, 16)
+    k = bb.T @ _K_PAIRS  # vol K(B y) = (y y) k
+    lam = k @ k[:, _K_TRANSPOSED].T / (6.0 * _VOL ** 2)
+    grad = (k @ np.rint(6.0 * _DUAL)).reshape(16, 20, 20) @ B3_MATRIX
+    return lam, grad.transpose(0, 2, 1) / (6.0 * _VOL)
+
+
+_B_LAMBDA, _B_DUAL = _invariant_tensors()
+
+
 def cubic_to_3form(q: BinaryForm) -> KForm:
     """The invariant 3-form with coefficients (3q1, q2, q3, 3q4) in the B basis."""
     q1, q2, q3, q4 = q.coeffs

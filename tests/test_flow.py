@@ -18,6 +18,7 @@ from so3g2.flow import (
     EndpointKind,
     FlowState,
     InvalidEndpoint,
+    Line,
     Q0,
     advance,
     clock_detg,
@@ -938,6 +939,122 @@ def test_oracle_stops_short_of_a_boundary_inside_t_span():
         s_t = brentq(lambda s: time_integral(Q0, p, 0.0, s) - t, 0.0, 1.0, xtol=1e-15)
         q_closed = line_cubic(Q0, p, s_t)
         assert max(abs(float(a) - float(b)) for a, b in zip(q_closed.coeffs, q.coeffs)) < 1e-8
+
+
+def _kernel_oracle(d, g0, t_span, n_samples):
+    """The ODE oracle with its right-hand side and boundary event on the
+    20-dimensional kernel (hitchin_dual_rows and _invariant_rows on
+    gamma = B3_MATRIX @ y): the reference for the oracle on Lambda and G."""
+    from scipy.integrate import solve_ivp
+    from so3g2.exterior import BASIS
+    from so3g2.flow import _BOUNDARY_MARGIN, OracleTrajectory
+    from so3g2.stableform import B3_MATRIX, _invariant_rows, hitchin_dual_rows
+
+    d = d.to_float()
+    p_read = flow_torsion_cubic(d)
+    q_init = q_map(g0)
+    y0 = np.array([3.0 * q_init.coeffs[0], q_init.coeffs[1], q_init.coeffs[2],
+                   3.0 * q_init.coeffs[3], float(g0.det()) ** 2], dtype=float)
+    pv = np.array([3.0 * p_read.coeffs[0], p_read.coeffs[1], p_read.coeffs[2],
+                   3.0 * p_read.coeffs[3]], dtype=float)
+    d_1234 = d.d_matrix(3)[BASIS[4].index((1, 2, 3, 4))]
+
+    def rhs(_t, y):
+        ghat, stable = hitchin_dual_rows(B3_MATRIX @ y[:4])
+        if not stable:
+            raise ValueError("not stable of complex type")
+        return np.concatenate([math.sqrt(max(y[4], 0.0)) * pv, [-(d_1234 @ ghat)]])
+
+    def boundary(_t, y):
+        gamma = B3_MATRIX @ y[:4]
+        _, lam, _ = _invariant_rows(gamma)
+        return min(y[4], -lam / max(1.0, np.abs(gamma).max()) ** 4 - _BOUNDARY_MARGIN)
+
+    boundary.terminal = True
+    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=1e-11, atol=1e-13, dense_output=True,
+                    events=boundary, max_step=abs(t_span[1] - t_span[0]) / 8)
+    ts = np.linspace(t_span[0], sol.t[-1], n_samples)
+    ys = sol.sol(ts)
+    status = "boundary" if sol.status == 1 else ("ok" if sol.status == 0 else "failed")
+    return OracleTrajectory(ts=ts, qs=[BinaryForm(3, [a / 3, b, c, e / 3]) for a, b, c, e in ys[:4].T],
+                            cs=ys[4], status=status)
+
+
+def _oracle_lines():
+    """(d, line, root) for the five model classes and 20 seeded half-flat
+    float points drawn as the flow-g2 benchmark draws them, each with its
+    closed-form line from Q0 and the first boundary root ahead on it: None
+    for a class without one, and at least 0.25 for a seeded point."""
+    out = []
+    points = [([1.0, 0.0], [-1.0, 0.0, 1.0]), ([1.0, 0.0], [-1.0, 0.0, -1.0]),
+              ([1.0, 0.0], [0.0, 0.0, -1.0]), ([0.0, 1.0], [0.0, 1.0, 0.0]),
+              ([1.0, 0.0], [-1.0, 0.0, 0.0])]
+    rng = random.Random(21)
+    while len(out) < 25:
+        if points:
+            x, y = points.pop(0)
+        else:
+            x = [rng.uniform(-2.0, 2.0) for _ in range(2)]
+            y = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+            if max(map(abs, x)) <= 0.1 or max(map(abs, y)) <= 0.1:
+                continue
+            # solve x1 y2 + x2 y1 = x2 y3 (lambda_2 = lambda_4) for one coordinate
+            if abs(x[1]) >= abs(x[0]):
+                y[2] = (x[0] * y[1] + x[1] * y[0]) / x[1]
+            else:
+                y[1] = x[1] * (y[2] - y[0]) / x[0]
+            if not 0.1 < max(map(abs, y)) <= 2.0:
+                continue
+        d = structure_constants(ModelPoint.make(x, y))
+        line = Line(Q0.to_float(), flow_torsion_cubic(d))
+        root = line.boundary(math.inf)
+        if len(out) < 5 or (root is not None and root >= 0.25):
+            out.append((d, line, root))
+    return out
+
+
+def _state_gap(a, b) -> float:
+    qa = np.array([q.coeffs for q in a.qs], dtype=float)
+    qb = np.array([q.coeffs for q in b.qs], dtype=float)
+    return max(float(np.abs(qa - qb).max()), float(np.abs(a.cs - b.cs).max()))
+
+
+def test_oracle_on_the_invariant_tensors_matches_the_kernel_oracle():
+    long_lines = 0
+    for d, line, root in _oracle_lines():
+        # on the benchmark span
+        got = direct_ode_oracle(d, GL2.identity(), (0.0, 0.06), n_samples=61)
+        ref = _kernel_oracle(d, GL2.identity(), (0.0, 0.06), 61)
+        assert got.status == ref.status
+        assert np.abs(got.ts - ref.ts).max() <= 1e-14
+        assert _state_gap(got, ref) <= 1e-14
+        if root is None:
+            continue
+        # past the boundary: c' grows like (-lambda)^(-1/2) next to the stop,
+        # which amplifies rounding
+        long_lines += 1
+        t_b = line.time(0.0, root)
+        got = direct_ode_oracle(d, GL2.identity(), (0.0, 2 * t_b), n_samples=21)
+        ref = _kernel_oracle(d, GL2.identity(), (0.0, 2 * t_b), 21)
+        assert got.status == ref.status == "boundary"
+        assert abs(got.ts[-1] - ref.ts[-1]) <= 1e-12 * ref.ts[-1]
+        scale = max(np.abs([q.coeffs for q in ref.qs]).max(), np.abs(ref.cs).max())
+        assert _state_gap(got, ref) <= 1e-9 * scale
+    assert long_lines >= 20
+
+
+def test_oracle_does_not_call_the_20_dimensional_kernel(monkeypatch):
+    from so3g2 import flow, stableform
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the oracle called the 20-dimensional kernel")
+
+    for name in ("hitchin_dual_rows", "_invariant_rows", "_k_rows"):
+        monkeypatch.setattr(stableform, name, refuse)
+        assert not hasattr(flow, name)
+    d = structure_constants(ModelPoint.make([1.0, 0.0], [-1.0, 0.0, -1.0]))
+    assert direct_ode_oracle(d, GL2.identity(), (0.0, 0.06), n_samples=5).status == "ok"
+    assert direct_ode_oracle(d, GL2.identity(), (0.0, 2.0), n_samples=5).status == "boundary"
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from so3g2.binaryform import BinaryForm
+from so3g2.binaryform import BinaryForm, cubic_covariant, discriminant
 from so3g2.exterior import BASIS, DIM, KForm, interior, pullback, wedge, wedge_all
 from so3g2.stableform import (
     B3_MATRIX,
@@ -13,7 +13,13 @@ from so3g2.stableform import (
     GAMMA_HAT,
     REFERENCE_VOLUME,
     SIGMA,
+    _B_DUAL,
+    _B_LAMBDA,
+    _DUAL,
+    _K_PAIRS,
     _K_TENSOR,
+    _STABLE_TOL,
+    _VOL,
     _invariant_rows,
     _k_matrix,
     cubic_to_3form,
@@ -326,3 +332,138 @@ def test_invariant_rows_decide_stability_as_the_kernel():
         assert abs(got - want) <= 1e-14 * max(1.0, np.abs(v).max()) ** 4
     _, one, one_stable = _invariant_rows(rho[0])
     assert one.shape == () and one_stable and one == lam[0]
+
+
+# ---------------------------------------------------------------------------
+# the kernel on the invariant 3-forms B y: Lambda and G
+# ---------------------------------------------------------------------------
+
+def _invariant_coefficients():
+    """Seeded y for rows B3_MATRIX @ y: 200 of either stability type, and
+    100 stable ones near the identity frame's cubic."""
+    rng = np.random.default_rng(21)
+    wide = rng.uniform(-2.0, 2.0, (200, 4))
+    near = rng.uniform(-0.3, 0.3, (100, 4)) + [1.0, 0.0, -1.0, 0.0]
+    return np.vstack([wide, near])
+
+
+def _tensor_mismatch(lam_t, dual_t, y) -> float:
+    """Worst error, in units of 1e-14, of the tensors against the kernel on
+    the rows B3_MATRIX @ y, with m = max(1, max|B y|): lambda over m^4,
+    sqrt(-lambda) gamma_hat over m^3, and gamma_hat relative to its largest
+    entry where -lambda >= 0.1 m^4; inf when a stability mask differs."""
+    rows = y @ B3_MATRIX.T
+    scale = np.maximum(1.0, np.abs(rows).max(axis=1))
+    yy = (y[:, :, None] * y[:, None, :]).reshape(len(y), -1)
+    lam = np.einsum("na,ab,nb->n", yy, lam_t, yy)
+    num = np.einsum("na,acI,nc->nI", yy, dual_t, y)
+    _, lam_k, stable_k = _invariant_rows(rows)
+    dual_k, stable_d = hitchin_dual_rows(rows)
+    stable = lam < -_STABLE_TOL * scale ** 4
+    if stable.tolist() != stable_k.tolist() or stable.tolist() != stable_d.tolist():
+        return math.inf
+    num_k = dual_k[stable] * np.sqrt(-lam_k[stable])[:, None]
+    errs = [np.abs(lam - lam_k) / scale ** 4,
+            np.abs(num[stable] - num_k).max(axis=1) / scale[stable] ** 3]
+    good = stable & (-lam_k >= 0.1 * scale ** 4)
+    dual = num[good] / np.sqrt(-lam[good])[:, None]
+    errs.append(np.abs(dual - dual_k[good]).max(axis=1) / np.abs(dual_k[good]).max(axis=1))
+    return max(float(e.max()) for e in errs) / 1e-14
+
+
+def test_invariant_tensors_match_the_kernel():
+    y = _invariant_coefficients()
+    rows = y @ B3_MATRIX.T
+    # both stability types, and enough well-conditioned rows for the dual
+    _, lam, stable = _invariant_rows(rows)
+    assert 60 <= stable[:200].sum() <= 140 and stable[200:].all()
+    assert (-lam >= 0.1 * np.maximum(1.0, np.abs(rows).max(axis=1)) ** 4).sum() >= 100
+    # the oracle's stability scale: a row of B3_MATRIX holds at most one 1
+    assert (np.abs(rows).max(axis=1) == np.abs(y).max(axis=1)).all()
+    assert _tensor_mismatch(_B_LAMBDA, _B_DUAL, y) <= 1.0
+    # negative control: any nonzero entry scaled by 1.001 is seen
+    for tensor in (_B_LAMBDA, _B_DUAL):
+        for idx in zip(*np.nonzero(tensor)):
+            bad = tensor.copy()
+            bad[idx] *= 1.001
+            pair = (bad, _B_DUAL) if tensor is _B_LAMBDA else (_B_LAMBDA, bad)
+            assert _tensor_mismatch(*pair, y) > 1.0, idx
+
+
+def _exact_tensors():
+    """54 Lambda and -18 G as int arrays, after checking that the float
+    tensors are these integers divided once."""
+    # the inputs are exact: T and B hold 0 and +-1, vol = -3, _DUAL holds
+    # 0, +-1/6 and +-1/3; so 6 vol^2 Lambda and 6 vol G are integers
+    assert set(np.unique(_K_PAIRS)) == {-1.0, 0.0, 1.0} and _VOL == -3.0
+    assert set(np.unique(B3_MATRIX)) == {0.0, 1.0}
+    assert set(np.unique(np.rint(6 * _DUAL))) == {-2.0, -1.0, 0.0, 1.0, 2.0}
+    assert np.array_equal(_DUAL, np.rint(6 * _DUAL) / 6)
+    lam54, dual18 = np.rint(54 * _B_LAMBDA), np.rint(-18 * _B_DUAL)
+    assert np.array_equal(_B_LAMBDA, lam54 / 54) and np.array_equal(_B_DUAL, dual18 / -18)
+    return lam54.astype(int), dual18.astype(int)
+
+
+def _y_of_q(sp):
+    q = sp.symbols("q1:5")
+    return q, [3 * q[0], q[1], q[2], 3 * q[3]]
+
+
+def _lambda_poly(sp, lam54, y):
+    """(y y) Lambda (y y)."""
+    yy = [a * b for a in y for b in y]
+    return sp.expand(sum(int(lam54[i, j]) * yy[i] * yy[j] for i, j in zip(*np.nonzero(lam54))) / 54)
+
+
+def _dual_polys(sp, dual18, y):
+    """(y y) G y, one polynomial per BASIS[3] coefficient."""
+    yy = [a * b for a in y for b in y]
+    out = [sp.Integer(0)] * len(BASIS[3])
+    for a, c, i in zip(*np.nonzero(dual18)):
+        out[i] += int(dual18[a, c, i]) * yy[a] * y[c]
+    return [sp.expand(v / -18) for v in out]
+
+
+def test_invariant_lambda_is_minus_a_third_of_the_discriminant():
+    # lambda(B y) = (y y) Lambda (y y) = -Delta(q) / 3 at y = (3 q1, q2, q3, 3 q4)
+    sp = pytest.importorskip("sympy")
+    lam54, _ = _exact_tensors()
+    q, y = _y_of_q(sp)
+    want = sp.expand(-discriminant(BinaryForm(3, list(q))) / 3)
+    assert _lambda_poly(sp, lam54, y) == want
+    # negative control: one nonzero entry moved by 1/54
+    bad = lam54.copy()
+    bad[tuple(v[0] for v in np.nonzero(bad))] += 1
+    assert _lambda_poly(sp, bad, y) != want
+
+
+def test_invariant_dual_is_the_cubic_covariant():
+    # sqrt(-lambda) gamma_hat(B y) = (y y) G y = -(1/9) B (3 C1, C2, C3, 3 C4)
+    # with C the cubic covariant of q, at y = (3 q1, q2, q3, 3 q4)
+    sp = pytest.importorskip("sympy")
+    _, dual18 = _exact_tensors()
+    q, y = _y_of_q(sp)
+    c = cubic_covariant(BinaryForm(3, list(q))).coeffs
+    cy = [3 * c[0], c[1], c[2], 3 * c[3]]
+    want = [sp.expand(sp.Rational(-1, 9) * sum(int(b) * v for b, v in zip(row, cy)))
+            for row in B3_MATRIX]
+    assert _dual_polys(sp, dual18, y) == want
+    # negative control: one nonzero entry moved by 1/18
+    bad = dual18.copy()
+    bad[tuple(v[0] for v in np.nonzero(bad))] += 1
+    assert _dual_polys(sp, bad, y) != want
+
+
+def test_invariant_identities_hold_in_floats():
+    # the same two identities on random q, relative to max|y|^4 and max|y|^3
+    rng = random.Random(13)
+    for _ in range(100):
+        q = [rng.uniform(-1.5, 1.5) for _ in range(4)]
+        y = np.array([3 * q[0], q[1], q[2], 3 * q[3]])
+        scale = np.abs(y).max()
+        yy = np.outer(y, y).ravel()
+        assert abs(yy @ _B_LAMBDA @ yy + discriminant(BinaryForm(3, q)) / 3) <= 1e-15 * scale ** 4
+        c = cubic_covariant(BinaryForm(3, q)).coeffs
+        want = -B3_MATRIX @ [3 * c[0], c[1], c[2], 3 * c[3]] / 9
+        got = (yy @ _B_DUAL.reshape(16, -1)).reshape(4, -1).T @ y
+        assert np.abs(got - want).max() <= 1e-15 * scale ** 3
