@@ -25,7 +25,6 @@ from .variety import (
     LieAlgebraClass,
     structure_constants,
     torsion_of,
-    torsion_from_coframe,
     membership_rank,
     classify,
     killing_form,
@@ -34,12 +33,10 @@ from .curvature import TCoords, levi_civita_oracle, ricci_closed_form
 from .flow import (
     FlowState,
     EndpointInfo,
-    advance,
     direct_ode_oracle,
     endpoint_classify,
+    flow_torsion_cubic,
     frame_change_torsion,
-    halfflat_condition,
-    hermitian_condition,
     hamiltonian,
 )
 from .g2 import assemble_g2, bs_metric, check_closedness, smoothness_check, triality_action

@@ -93,20 +93,6 @@ class BinaryForm:
             total = total + c * u1 ** (k - j) * u2 ** j
         return total
 
-    def d_u1(self) -> "BinaryForm":
-        """Partial derivative with respect to u1."""
-        k = self.degree
-        if k == 0:
-            return BinaryForm.zero(0)
-        return BinaryForm(k - 1, [(k - j) * self.coeffs[j] for j in range(k)])
-
-    def d_u2(self) -> "BinaryForm":
-        """Partial derivative with respect to u2."""
-        k = self.degree
-        if k == 0:
-            return BinaryForm.zero(0)
-        return BinaryForm(k - 1, [(j + 1) * self.coeffs[j + 1] for j in range(k)])
-
     def substitute(self, m11: Scalar, m12: Scalar, m21: Scalar, m22: Scalar) -> "BinaryForm":
         """Substitute u1 -> m11 u1 + m12 u2, u2 -> m21 u1 + m22 u2."""
         f1 = BinaryForm(1, [m11, m12])

@@ -7,7 +7,8 @@ bs-metric), `--seed` and `--n-samples` on verify, where they replace
 the defaults of the sampled suites.  Rational inputs are accepted as
 "p/q" strings so the exact pipeline stays exact end to end; every
 number must be finite.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error.  Each warning is printed to stderr as one "warning: ..."
+line.
 
 main() reuses one parser per process and resolves the command's cmd_*
 function by name at call time.  `so3g2 --help` shows the paragraphs above.
@@ -21,6 +22,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -349,11 +351,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # looked up per call, so a rebound cmd_* (a stub, a tracing wrapper) is the one run
     cmd = globals()["cmd_" + args.command.replace("-", "_")]
-    try:
-        return cmd(args)
-    except (ValueError, InvalidEndpoint, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return cmd(args)
+        except (ValueError, InvalidEndpoint, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .binaryform import BinaryForm
 from .exterior import CEOperator, DIM, require_lie_algebra
-from .variety import ModelPoint, bracket_constants, structure_constants, torsion_of
+from .variety import ModelPoint, bracket_constants, torsion_of
 
 F = Fraction
 
@@ -120,12 +120,6 @@ def _weyl_tensor(riem, ric, scalar):
             + scalar * (gg - gg.transpose(1, 0, 2, 3)) / ((n - 1) * (n - 2)))
 
 
-def first_bianchi_residual(d: CEOperator) -> float:
-    riem = riemann_tensor(d)
-    cycle = riem + np.einsum("jkil->ijkl", riem) + np.einsum("kijl->ijkl", riem)
-    return float(np.max(np.abs(cycle)))
-
-
 def ricci_closed_form(t: TCoords):
     """Closed-form traceless Ricci (6x6) and scalar curvature.
 
@@ -152,20 +146,3 @@ def ricci_closed_form(t: TCoords):
 def model_tcoords(m: ModelPoint) -> TCoords:
     return TCoords.from_lambda(torsion_of(m))
 
-
-EINSTEIN_TOL = 1e-12
-WEYL_TOL = 1e-11
-
-
-def einstein_locus_check(m: ModelPoint) -> bool:
-    """True iff the traceless Ricci of the built structure vanishes."""
-    rep = levi_civita_oracle(structure_constants(m).to_float())
-    scale = max(1.0, float(np.max(np.abs(rep.ricci))))
-    return rep.ricci_traceless_norm <= EINSTEIN_TOL * scale
-
-
-def conformally_flat_check(m: ModelPoint) -> bool:
-    """True iff the Weyl tensor vanishes; on this family that means flat."""
-    rep = levi_civita_oracle(structure_constants(m).to_float())
-    scale = max(1.0, float(abs(rep.scalar)), rep.ricci_traceless_norm)
-    return rep.weyl_norm <= WEYL_TOL * scale

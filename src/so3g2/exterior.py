@@ -8,9 +8,8 @@ do, so a computation stays exact until a float enters it.
 
 The linear maps act on coefficient vectors in the order of ``BASIS[k]``,
 the increasing index tuples of Lambda^k (sizes 1, 6, 15, 20, 15, 6, 1):
-a pullback multiplies by the matrix of k x k minors, and each
-Chevalley-Eilenberg operator (a choice of d on degree one, extended as
-an anti-derivation) builds its matrices d_k: Lambda^k -> Lambda^(k+1)
+each Chevalley-Eilenberg operator (a choice of d on degree one, extended
+as an anti-derivation) builds its matrices d_k: Lambda^k -> Lambda^(k+1)
 once, so d, and the d^2 = 0 test that encodes the Jacobi identity, are
 matrix-vector products.  The arrays are float64 for float coefficients
 and object arrays of the exact scalars otherwise.
@@ -53,21 +52,6 @@ def _sort_with_sign(indices: Sequence[int]):
 #: BASIS[k]: the increasing index tuples of Lambda^k(R^6), in vector order
 BASIS = tuple(tuple(itertools.combinations(range(1, DIM + 1), k)) for k in range(DIM + 1))
 _POSITION = tuple({idx: n for n, idx in enumerate(b)} for b in BASIS)
-
-
-@functools.cache
-def _minor_table(k: int):
-    """Flat indices into a 6x6 matrix and permutation signs for its k x k minors.
-
-    Entry [r, I, s, J] of the index array is (I_{perm_s(r)}, J_r) for
-    I, J in BASIS[k], so the product over r, summed over the permutations s
-    with their signs, is det m[I, J].
-    """
-    perms = list(itertools.permutations(range(k)))
-    sign = np.array([_sort_with_sign(p)[1] for p in perms])
-    idx = np.array(BASIS[k], dtype=np.intp) - 1
-    flat = idx[:, perms][:, :, None, :] * DIM + idx[None, None, :, :]
-    return np.moveaxis(flat, 3, 0).copy(), sign
 
 
 @functools.cache
@@ -378,27 +362,6 @@ def apply_d(d: CEOperator, a: KForm) -> KForm:
                 sums[n] = v.expand()
         return KForm.from_vector(a.degree + 1, sums)
     return KForm.from_vector(a.degree + 1, block @ vals)
-
-
-def pullback(m, a: KForm) -> KForm:
-    """Pullback of a by the endomorphism with matrix m (m[i][j] = (m e_j)_i).
-
-    (m^* a)(X1, ..., Xk) = a(m X1, ..., m Xk); on the coframe this is the
-    substitution e^i -> sum_j m[i][j] e^j, so the coefficients are
-    multiplied by the matrix of k x k minors, (m^* a)_J = sum_I a_I det m[I, J].
-    Only the rows I where a has a coefficient are formed.  Runs in float64
-    for a float matrix, on the exact scalars otherwise.
-    """
-    k = a.degree
-    if k == 0:
-        return a  # constants pull back to themselves
-    m = np.asarray(m)
-    if m.dtype.kind != "f":
-        m = m.astype(object)
-    flat, sign = _minor_table(k)
-    rows, vals = a.nonzero(m.dtype)
-    minors = sign @ m.reshape(-1)[flat[:, rows]].prod(axis=0)
-    return KForm.from_vector(k, vals @ minors)
 
 
 def d_squared_residual(d: CEOperator) -> Scalar:

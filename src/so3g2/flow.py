@@ -386,27 +386,14 @@ def _taylor_shift(scaled, end, sign: int) -> list[float]:
     return out[::-1]
 
 
-def advance(state: FlowState, ds: float):
-    """Advance a flow state along the line by ds.
-
-    Returns (new_state, clamped); when the discriminant hits zero inside
-    the step, the state is clamped to the boundary point and clamped is
-    True.
-    """
-    line = Line(state.q, state.p)
-    end = line.boundary(ds)
-    s_target = ds if end is None else end
-    q_new = line.cubic(s_target)
-    return (
-        FlowState(q=q_new, p=state.p, s=state.s + s_target,
-                  t=state.t + line.time(0.0, s_target), detg=clock_detg(q_new)),
-        end is not None,
-    )
-
-
 def flow_torsion_cubic(d: CEOperator) -> BinaryForm:
-    """The d(sigma)-reading of the torsion: the line direction of the flow."""
-    return threeform_to_cubic(apply_d(d, SIGMA).to_float())
+    """The d(sigma)-reading of the torsion: the line direction of the flow.
+
+    Exact for an exact operator and in floats for a float one; raises
+    ValueError when d sigma is not an invariant 3-form.  On a model
+    algebra it is minus the formal-product cubic variety.torsion_of.
+    """
+    return threeform_to_cubic(apply_d(d, SIGMA))
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +420,6 @@ def frame_change_torsion(lam: BinaryForm, g: GL2) -> BinaryForm:
         - 2 * l2 * x * y * w - l2 * y ** 2 * z + 3 * l1 * y ** 2 * w,
         l4 * x ** 3 - l3 * x ** 2 * y + l2 * x * y ** 2 - l1 * y ** 3,
     ])
-
-
-def halfflat_condition(p: BinaryForm, g: GL2):
-    """Zero iff the g-frame structure with reference torsion p is half-flat."""
-    x, y, z, w = g.x, g.y, g.z, g.w
-    return p(y, -x) - y * p.d_u1()(w, -z) + x * p.d_u2()(w, -z)
-
-
-def hermitian_condition(p: BinaryForm, g: GL2):
-    """The complementary locus condition: zero (together with half-flatness)
-    iff the g-frame structure is Hermitian."""
-    x, y, z, w = g.x, g.y, g.z, g.w
-    return p(w, -z) - w * p.d_u1()(y, -x) + z * p.d_u2()(y, -x)
 
 
 def is_halfflat_cubic(p: BinaryForm, tol: float = 1e-12) -> bool:

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .binaryform import BinaryForm
+# wedge is unused here, but bench/test_bench.py reads stableform.wedge
 from .exterior import BASIS, DIM, KForm, _contract_wedge, _sort_with_sign, wedge, wedge_all
 
 F = Fraction
@@ -110,33 +111,11 @@ def _dual_tensor() -> np.ndarray:
 _DUAL = _dual_tensor()
 
 
-def _k_rows(rho: np.ndarray, vol_coeff: float) -> np.ndarray:
-    """K = T rho rho / vol_coeff for each row of rho, shape (..., 20),
-    flattened to shape (..., 36)."""
+def _k_rows(rho: np.ndarray) -> np.ndarray:
+    """K = T rho rho for the reference volume, for each row of rho, shape
+    (..., 20), flattened to shape (..., 36)."""
     pairs = (rho[..., :, None] * rho[..., None, :]).reshape(rho.shape[:-1] + (-1,))
-    return pairs @ _K_PAIRS / vol_coeff
-
-
-def _k_matrix(rho: KForm, vol_coeff: float) -> np.ndarray:
-    """Matrix of K(v) = A((v -| rho) ^ rho) w.r.t. the volume vol_coeff*e^123456.
-
-    A identifies a 5-form with a vector: X -| vol = xi.
-    """
-    return _k_rows(rho.to_vector(float), vol_coeff).reshape(DIM, DIM)
-
-
-def hitchin_invariant(rho: KForm, vol_orientation: KForm | None = None) -> float:
-    """The quadratic invariant lambda(rho) = tr(K^2)/6 of a 3-form.
-
-    Negative values mean rho is stable of complex type.  Scales like the
-    inverse square of the reference volume coefficient.
-    """
-    vol = REFERENCE_VOLUME if vol_orientation is None else vol_orientation
-    vc = float(vol.coeffs.get(tuple(range(1, DIM + 1)), 0))
-    if vc == 0:
-        raise ValueError("vol_orientation must be a nonzero 6-form")
-    k = _k_matrix(rho.to_float(), vc)
-    return float(np.trace(k @ k)) / 6.0
+    return pairs @ _K_PAIRS / _VOL
 
 
 _STABLE_TOL = 1e-14
@@ -150,10 +129,16 @@ def _invariant_rows(rho: np.ndarray):
     """K (flat, shape (..., 36)), lambda = tr K^2 / 6 and the stability
     mask of each row of the float array rho, shape (..., 20): the part of
     hitchin_dual_rows that builds no dual."""
-    k = _k_rows(rho, _VOL)
+    k = _k_rows(rho)
     lam = (k * k[..., _K_TRANSPOSED]).sum(axis=-1) / 6.0
     stable = lam < -_STABLE_TOL * np.maximum(1.0, np.abs(rho).max(axis=-1)) ** 4
     return k, lam, stable
+
+
+def hitchin_invariant(rho: KForm) -> float:
+    """The quadratic invariant lambda(rho) = tr(K^2)/6 of a 3-form, for the
+    reference volume; negative values mean rho is stable of complex type."""
+    return float(_invariant_rows(rho.to_vector(float))[1])
 
 
 def hitchin_dual_rows(rho) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,6 @@ types.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -19,8 +18,7 @@ from fractions import Fraction
 from . import _exact
 from ._exact import is_exact
 from .binaryform import BinaryForm, GL2, act, discriminant, resultant, split_b1_b2
-from .exterior import CEOperator, DIM, KForm, apply_d, interior, require_lie_algebra, wedge
-from .stableform import GAMMA_HAT, SIGMA, standard_forms
+from .exterior import CEOperator, DIM, KForm, interior, require_lie_algebra
 
 F = Fraction
 
@@ -144,74 +142,6 @@ def membership_rank(t: TorsionData) -> int:
         [-F(2, 3) * l3 - F(1, 2) * m2, -l4, F(1, 3) * l2 + F(1, 2) * m1],
     ]
     return _exact.mat_rank(q_mat)
-
-
-class NotInvariantTorsion(ValueError):
-    pass
-
-
-def torsion_from_coframe(d: CEOperator) -> BinaryForm:
-    """Recover the torsion cubic from d sigma, validating the whole complex.
-
-    Raises NotInvariantTorsion when d sigma does not have the invariant
-    shape or the derivatives of the invariant 3-forms are inconsistent
-    with the recovered coefficients.
-    """
-    forms = standard_forms()
-    exact = is_exact(v for im in d.images for v in im.coeffs.values())
-    dsigma = apply_d(d, SIGMA)
-    groups = [
-        ((1, 3, 5), 3), ((2, 3, 5), 1), ((1, 4, 5), 1), ((1, 3, 6), 1),
-        ((1, 4, 6), 1), ((2, 3, 6), 1), ((2, 4, 5), 1), ((2, 4, 6), 3),
-    ]
-    # scale >= 1; exact operators are held to equality, floats to 1e-10
-    scale = max(1.0, dsigma.max_abs())
-    tol = 1e-10 * scale
-
-    def close(u, v):
-        if exact:
-            return u == v
-        return abs(float(u) - float(v)) <= tol
-
-    coeffs = {idx: dsigma.coeffs.get(idx, 0) for idx, _ in groups}
-    for idx, c in dsigma.coeffs.items():
-        if idx not in coeffs and not close(c, 0):
-            raise NotInvariantTorsion(f"d sigma has stray component {idx}")
-    l1 = F(1, 3) * coeffs[(1, 3, 5)]
-    l4 = F(1, 3) * coeffs[(2, 4, 6)]
-    l2 = coeffs[(2, 3, 5)]
-    l3 = coeffs[(1, 4, 6)]
-    for idx in [(1, 4, 5), (1, 3, 6)]:
-        if not close(coeffs[idx], l2):
-            raise NotInvariantTorsion("d sigma breaks the equal-coefficient pattern")
-    for idx in [(2, 3, 6), (2, 4, 5)]:
-        if not close(coeffs[idx], l3):
-            raise NotInvariantTorsion("d sigma breaks the equal-coefficient pattern")
-    lam = BinaryForm(3, [l1, l2, l3, l4])
-
-    # validate the rest of the exterior-derivative complex
-    sigma2 = wedge(SIGMA, SIGMA)
-    eta0 = KForm(3, {(1, 3, 5): F(1)})
-    checks = [
-        (apply_d(d, eta0), -F(1, 2) * l4),
-        (apply_d(d, GAMMA_HAT), F(1, 2) * (l3 - l1)),
-    ]
-    for got, coeff in checks:
-        want = coeff * sigma2
-        if (got.to_float() - want.to_float()).max_abs() > tol:
-            raise NotInvariantTorsion("exterior-derivative complex is inconsistent")
-    # the two rotated simple 3-forms (float entries)
-    s3 = math.sqrt(3.0)
-    lf = [float(v) for v in (l1, l2, l3, l4)]
-    for eta, coeff in [
-        (forms.eta[1], (3 * s3 * lf[0] + 3 * lf[1] + s3 * lf[2] + lf[3]) / 16.0),
-        (forms.eta[2], -(3 * s3 * lf[0] - 3 * lf[1] + s3 * lf[2] - lf[3]) / 16.0),
-    ]:
-        got = apply_d(d.to_float(), eta)
-        want = coeff * sigma2.to_float()
-        if (got - want).max_abs() > 1e-9 * scale:
-            raise NotInvariantTorsion("rotated 3-form derivatives are inconsistent")
-    return lam
 
 
 def su3_components(lam: BinaryForm):

@@ -75,9 +75,14 @@ from .variety import (
     ModelPoint,
     TorsionData,
     act_on_point,
+    center_dim,
     classify,
+    derived_algebra_dim,
+    is_nilpotent,
     kappa,
     killing_form,
+    killing_rank,
+    killing_signature,
     membership_rank,
     structure_constants,
     torsion_blocks,
@@ -197,22 +202,30 @@ def suite_killing(seed: int = 1, n_samples: int = 1000) -> SuiteResult:
 # 3. Classification
 # ---------------------------------------------------------------------------
 
+#: the table of demo 01: a point of each class with its Killing rank and
+#: signature, derived algebra and center dimensions, and nilpotency
 TABLE_REPRESENTATIVES = (
-    (((1, 0), (1, 0, -1)), LieAlgebraClass.SO3xSO3),
-    (((1, 0), (1, 0, 1)), LieAlgebraClass.SO3C),
-    (((1, 0), (0, 0, 1)), LieAlgebraClass.SO3semidirectR3),
-    (((1, 0), (0, 1, 0)), LieAlgebraClass.SO3directR3),
-    (((1, 0), (1, 0, 0)), LieAlgebraClass.Nilpotent),
+    (((1, 0), (1, 0, -1)), LieAlgebraClass.SO3xSO3, (6, (0, 6), 6, 0, False)),
+    (((1, 0), (1, 0, 1)), LieAlgebraClass.SO3C, (6, (3, 3), 6, 0, False)),
+    (((1, 0), (0, 0, 1)), LieAlgebraClass.SO3semidirectR3, (3, (0, 3), 6, 0, False)),
+    (((1, 0), (0, 1, 0)), LieAlgebraClass.SO3directR3, (3, (0, 3), 3, 3, False)),
+    (((1, 0), (1, 0, 0)), LieAlgebraClass.Nilpotent, (0, (0, 0), 3, 3, True)),
 )
 
 
 def suite_classification(seed: int = 2, n_samples: int = 200) -> SuiteResult:
     rng = random.Random(seed)
-    for (x, y), want in TABLE_REPRESENTATIVES:
+    for (x, y), want, want_invariants in TABLE_REPRESENTATIVES:
         m = ModelPoint.make([F(v) for v in x], [F(v) for v in y])
         if classify(m) != want:
             return SuiteResult("classification", False, 1.0, 0.0,
                                f"representative {x}*{y} -> {classify(m)}")
+        d = structure_constants(m)
+        invariants = (killing_rank(d), killing_signature(d), derived_algebra_dim(d),
+                      center_dim(d), is_nilpotent(d))
+        if invariants != want_invariants:
+            return SuiteResult("classification", False, 1.0, 0.0,
+                               f"representative {x}*{y} has invariants {invariants}")
     for _ in range(n_samples):
         m = _random_point_exact(rng)
         while True:

@@ -68,6 +68,15 @@ def test_classify_decimal_inputs_give_float_det(capsys):
     assert abs(det - 21.2285) < 1e-4
 
 
+def test_warning_is_one_stderr_line(capsys):
+    # the discriminant 1e-14 of y snaps to 0
+    code = main(["classify", "--x", "1,0", "--y", "1e-7,0,1e-7"])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["class"] == "SO3semidirectR3"
+    assert captured.err.splitlines() == [
+        "warning: snapping a near-zero classification invariant to 0"]
+
+
 def test_curvature_report(capsys):
     code, out = run_cli(capsys, "curvature", "--x", "1,0", "--y", "1,0,-1")
     data = json.loads(out)

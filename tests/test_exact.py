@@ -12,6 +12,7 @@ from so3g2._exact import is_exact, mat_det, mat_rank, nullspace, sym_signature
 from so3g2.binaryform import GL2, BinaryForm, discriminant, q_map, resultant, split_b1_b2
 from so3g2.curvature import TCoords
 from so3g2.exterior import apply_d
+from so3g2.flow import flow_torsion_cubic
 from so3g2.stableform import cubic_to_3form, threeform_to_cubic
 from so3g2.variety import (
     ModelPoint,
@@ -23,7 +24,6 @@ from so3g2.variety import (
     su3_components,
     tau_lambda,
     torsion_blocks,
-    torsion_from_coframe,
 )
 
 
@@ -333,7 +333,7 @@ POLICY_CASES = {
     "threeform_to_cubic": lambda v: threeform_to_cubic(cubic_to_3form(BinaryForm(3, v[:4]))).coeffs,
     "torsion_blocks": lambda v: torsion_blocks(
         TorsionData(BinaryForm(3, v[:4]), BinaryForm(1, [v[4], v[0]]))),
-    "torsion_from_coframe": lambda v: torsion_from_coframe(
+    "flow_torsion_cubic": lambda v: flow_torsion_cubic(
         structure_constants(ModelPoint.make(v[:2], v[2:]))).coeffs,
     "su3_components": lambda v: _su3_outputs(BinaryForm(3, v[:4])),
     "skew_torsion_3form": lambda v: skew_torsion_3form(BinaryForm(3, v[:4])).coeffs.values(),
@@ -342,7 +342,7 @@ POLICY_CASES = {
 }
 
 # these two hold their input to float tolerances, so they take numbers only
-NUMERIC_ONLY = {"threeform_to_cubic", "torsion_from_coframe"}
+NUMERIC_ONLY = {"threeform_to_cubic", "flow_torsion_cubic"}
 
 
 @pytest.mark.parametrize("name, kind", [

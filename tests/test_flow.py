@@ -20,7 +20,6 @@ from so3g2.flow import (
     InvalidEndpoint,
     Line,
     Q0,
-    advance,
     clock_detg,
     contraction_field,
     contraction_plane,
@@ -28,9 +27,7 @@ from so3g2.flow import (
     endpoint_classify,
     flow_torsion_cubic,
     frame_change_torsion,
-    halfflat_condition,
     hamiltonian,
-    hermitian_condition,
     integrate_line,
     integrate_time_grid,
     line_cubic,
@@ -53,14 +50,27 @@ def halfflat_cubic(rng, span=1.5):
     return BinaryForm(3, [l1, l2, l3, l2])
 
 
+def halfflat_defect(p, g):
+    """l2 - l4 of the torsion in the g-frame: zero iff that frame is half-flat."""
+    lam = frame_change_torsion(p, g).coeffs
+    return lam[1] - lam[3]
+
+
+def hermitian_defect(p, g):
+    """l1 - l3 of the torsion in the g-frame: zero, together with the
+    half-flat defect, iff that frame is Hermitian."""
+    lam = frame_change_torsion(p, g).coeffs
+    return lam[0] - lam[2]
+
+
 def test_halfflat_condition_identity_frame():
     # at the identity the condition reduces to l2 - l4
     p = BinaryForm(3, [2.0, 5.0, -1.0, 5.0])
-    assert abs(halfflat_condition(p, GL2.identity())) < 1e-14
+    assert abs(halfflat_defect(p, GL2.identity())) < 1e-14
     p = BinaryForm(3, [1.0, 0.0, 0.0, 0.0])
-    assert abs(halfflat_condition(p, GL2.identity())) < 1e-14
+    assert abs(halfflat_defect(p, GL2.identity())) < 1e-14
     p = BinaryForm(3, [0.0, 1.0, 0.0, 0.0])
-    assert halfflat_condition(p, GL2.identity()) != 0
+    assert halfflat_defect(p, GL2.identity()) != 0
 
 
 def test_halfflat_condition_row_proportional():
@@ -70,19 +80,19 @@ def test_halfflat_condition_row_proportional():
         x, y = rng.uniform(-2, 2), rng.uniform(-2, 2)
         p = BinaryForm(3, [rng.uniform(-2, 2) for _ in range(4)])
         g = GL2(x, y, h * x, h * y)
-        assert abs(halfflat_condition(p, g)) < 1e-12
+        assert abs(halfflat_defect(p, g)) < 1e-12
         g_bad = GL2(x, y, 0.5 * x, 0.5 * y)
         if abs(float(p(y, -x))) > 1e-3:
-            assert abs(halfflat_condition(p, g_bad)) > 1e-6
+            assert abs(halfflat_defect(p, g_bad)) > 1e-6
 
 
 def test_hermitian_condition_examples():
     # l1 = l3 with l2 = l4 = 0 is Hermitian at the identity
     p = BinaryForm(3, [1.5, 0.0, 1.5, 0.0])
-    assert abs(hermitian_condition(p, GL2.identity())) < 1e-14
-    assert abs(hermitian_condition(BinaryForm(3, [1.0, 0.0, 0.0, 0.0]),
-                                   GL2.identity()) - 1.0) < 1e-14
-    assert hermitian_condition(BinaryForm(3, [0.0] * 4), GL2.identity()) == 0
+    assert abs(hermitian_defect(p, GL2.identity())) < 1e-14
+    assert abs(hermitian_defect(BinaryForm(3, [1.0, 0.0, 0.0, 0.0]),
+                                GL2.identity()) - 1.0) < 1e-14
+    assert hermitian_defect(BinaryForm(3, [0.0] * 4), GL2.identity()) == 0
 
 
 def test_frame_change_torsion_examples():
@@ -133,21 +143,17 @@ def test_time_integral_against_plain_quadrature():
 
 
 def test_advance_static_and_clamp():
+    # the step of so3g2 flow: Line.boundary clamps it, Line.time clocks it.
     # p = 0: q constant, t advances at rate 1/detg
     q0 = BinaryForm(3, [1.0 / 3.0, 0.0, -1.0, 0.0])
-    st = FlowState(q=q0, p=BinaryForm(3, [0.0] * 4), s=0.0, t=0.0,
-                   detg=clock_detg(q0))
-    st2, clamped = advance(st, 2.0)
-    assert not clamped
-    assert st2.q == q0
-    assert abs(st2.t - 2.0 / st.detg) < 1e-10
-    # clamping at the discriminant boundary
+    line = Line(q0, BinaryForm(3, [0.0] * 4))
+    assert line.boundary(2.0) is None
+    assert line.cubic(2.0) == q0
+    assert abs(line.time(0.0, 2.0) - 2.0 / clock_detg(q0)) < 1e-10
+    # clamping at the discriminant boundary, one unit back where q = u1^3
     p = BinaryForm(3, [1.0, 0.0, -1.0, 0.0])
-    st = FlowState(q=line_cubic(BinaryForm(3, [1.0, 0, 0, 0]), p, 1.0), p=p,
-                   s=1.0, t=0.0, detg=1.0)
-    st2, clamped = advance(st, -5.0)
-    assert clamped
-    assert abs(st2.s - 0.0) < 1e-9  # boundary at s = 0 where q = u1^3
+    line = Line(line_cubic(BinaryForm(3, [1.0, 0, 0, 0]), p, 1.0), p)
+    assert abs(line.boundary(-5.0) + 1.0) < 1e-9
 
 
 def test_case2_time_closed_form():
@@ -399,7 +405,7 @@ def test_hermitian_plane_points_are_hermitian():
         p = BinaryForm(3, [float(c) for c in v])
         assert abs(float(p.coeffs[0]) - float(p.coeffs[2])) < 1e-14
         assert abs(float(p.coeffs[1]) - float(p.coeffs[3])) < 1e-14
-        assert abs(hermitian_condition(p, GL2.identity())) < 1e-12
+        assert abs(hermitian_defect(p, GL2.identity())) < 1e-12
 
 
 def test_flow_preserves_only_first_plane():

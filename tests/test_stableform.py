@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from so3g2.binaryform import BinaryForm, cubic_covariant, discriminant
-from so3g2.exterior import BASIS, DIM, KForm, interior, pullback, wedge, wedge_all
+from so3g2.exterior import BASIS, DIM, KForm, interior, wedge, wedge_all
 from so3g2.stableform import (
     B3_MATRIX,
     GAMMA,
@@ -21,7 +21,7 @@ from so3g2.stableform import (
     _STABLE_TOL,
     _VOL,
     _invariant_rows,
-    _k_matrix,
+    _k_rows,
     cubic_to_3form,
     hitchin_dual,
     hitchin_dual_rows,
@@ -162,18 +162,11 @@ def test_threeform_to_cubic_round_trip():
         threeform_to_cubic(KForm(3, {(1, 2, 3): 1.0}))
 
 
-def test_hitchin_invariant_orientation_scale():
-    lam_ref = hitchin_invariant(GAMMA)
-    assert lam_ref < 0
-    lam_unit = hitchin_invariant(GAMMA, KForm(6, {(1, 2, 3, 4, 5, 6): 1.0}))
-    # invariant scales inverse-quadratically with the reference volume
-    assert abs(lam_unit - lam_ref * 9.0) < 1e-12
-
-
 # -- Hitchin's K as a fixed tensor against the wedge/interior loop ----------
 
 def ref_k_matrix(rho, vol_coeff):
-    """_k_matrix as the package computed it before K became T rho rho."""
+    """K w.r.t. the volume vol_coeff e^123456, as the package computed it
+    before K became T rho rho."""
     k = np.zeros((6, 6))
     for j in range(1, DIM + 1):
         xi = wedge(interior(j, rho), rho)
@@ -216,10 +209,9 @@ def test_k_matrix_matches_loop_reference(kind):
     rng = random.Random(f"k matrix {kind}")
     for _ in range(100):
         rho = _random_3form(rng, kind)
-        vol = rng.choice([1.0, -3.0, 0.5])
-        want = ref_k_matrix(rho.to_float(), vol)
-        got = _k_matrix(rho.to_float(), vol)
-        scale = max(1.0, float(rho.max_abs())) ** 2 / abs(vol)
+        want = ref_k_matrix(rho.to_float(), _VOL)
+        got = _k_rows(rho.to_vector(float)).reshape(DIM, DIM)
+        scale = max(1.0, float(rho.max_abs())) ** 2 / abs(_VOL)
         assert np.max(np.abs(got - want)) <= 1e-14 * scale
 
 
@@ -256,11 +248,13 @@ def test_hitchin_dual_matches_loop_reference(kind):
 
 def pullback_route_dual(v):
     """Hitchin's dual of the coefficient row v as hitchin_dual computed it
-    on KForms: K = T v v, then exterior.pullback(K / sqrt(-lambda), rho)."""
+    on KForms: K = T v v, then the pullback of rho by K / sqrt(-lambda)."""
+    from test_exterior import ref_pullback
+
     k = _K_TENSOR @ v @ v / -3.0
     lam = float(np.trace(k @ k)) / 6.0
     assert lam < 0
-    return pullback(k / math.sqrt(-lam), KForm.from_vector(3, v)).to_vector(float)
+    return ref_pullback(k / math.sqrt(-lam), KForm.from_vector(3, v)).to_vector(float)
 
 
 def _stable_rows(n=200, seed=31):
@@ -328,8 +322,8 @@ def test_invariant_rows_decide_stability_as_the_kernel():
     assert stable.tolist() == hitchin_dual_rows(batch)[1].tolist()
     assert stable.tolist() == [True] * 3 + [False] * 3 + [True] * 3
     for v, got in zip(batch, lam):
-        want = hitchin_invariant(KForm.from_vector(3, v))
-        assert abs(got - want) <= 1e-14 * max(1.0, np.abs(v).max()) ** 4
+        k = ref_k_matrix(KForm.from_vector(3, v), _VOL)
+        assert abs(got - np.trace(k @ k) / 6.0) <= 1e-14 * max(1.0, np.abs(v).max()) ** 4
     _, one, one_stable = _invariant_rows(rho[0])
     assert one.shape == () and one_stable and one == lam[0]
 

@@ -1,16 +1,18 @@
+import math
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import random_exact_point
+from so3g2 import verify
 from so3g2.binaryform import BinaryForm, GL2, discriminant, resultant, split_b1_b2
 from so3g2.exterior import CEOperator, KForm, apply_d, d_squared_residual, wedge
-from so3g2.stableform import GAMMA_HAT, SIGMA
+from so3g2.flow import flow_torsion_cubic
+from so3g2.stableform import GAMMA_HAT, SIGMA, standard_forms
 from so3g2.variety import (
     LieAlgebraClass,
     ModelPoint,
-    NotInvariantTorsion,
     TorsionData,
     act_on_point,
     alternation_matches_kappa,
@@ -28,7 +30,6 @@ from so3g2.variety import (
     structure_constants,
     su3_components,
     tau_lambda,
-    torsion_from_coframe,
     torsion_of,
 )
 
@@ -97,59 +98,89 @@ def test_torsion_of():
     assert torsion_of(m2) == torsion_of(BI_INVARIANT)
 
 
+# -- the torsion read from the coframe: flow_torsion_cubic, the reading of d sigma
+
+SIGMA2 = wedge(SIGMA, SIGMA)
+ETA0 = KForm(3, {(1, 3, 5): F(1)})
+
+
+def complex_holds(d) -> bool:
+    """Whether the derivatives of the invariant 3-forms agree with the
+    torsion l = flow_torsion_cubic(d) read off d sigma, for an exact d:
+    d eta_0 = -(1/2) l4 sigma^2 and d gamma_hat = (1/2)(l3 - l1) sigma^2
+    exactly, and the derivatives of the rotated simple 3-forms, whose
+    entries carry a float sqrt(3), to 1e-13 of max(1, |d sigma|)."""
+    l1, l2, l3, l4 = flow_torsion_cubic(d).coeffs
+    if (apply_d(d, ETA0) != F(-1, 2) * l4 * SIGMA2
+            or apply_d(d, GAMMA_HAT) != F(1, 2) * (l3 - l1) * SIGMA2):
+        return False
+    s3 = math.sqrt(3.0)
+    u1, u2, u3, u4 = (float(v) for v in (l1, l2, l3, l4))
+    eta = standard_forms().eta
+    rotated = [(eta[1], (3 * s3 * u1 + 3 * u2 + s3 * u3 + u4) / 16.0),
+               (eta[2], -(3 * s3 * u1 - 3 * u2 + s3 * u3 - u4) / 16.0)]
+    scale = max(1.0, float(apply_d(d, SIGMA).max_abs()))
+    return all((apply_d(d.to_float(), e) - c * SIGMA2.to_float()).max_abs() <= 1e-13 * scale
+               for e, c in rotated)
+
+
 def test_torsion_from_coframe_reads_opposite_sign(rng):
     # the d(sigma)-reading of the model algebras carries the opposite
-    # sign to the formal-product torsion; both are validated against the
-    # full derivative complex (see the decisions ledger)
+    # sign to the formal-product torsion (see the decisions ledger)
     for _ in range(100):
         m = random_exact_point(rng)
-        lam = torsion_from_coframe(structure_constants(m))
+        lam = flow_torsion_cubic(structure_constants(m))
         assert lam == -1 * torsion_of(m)
 
 
 def test_torsion_from_coframe_abelian():
     d = CEOperator(tuple(KForm.zero(2) for _ in range(6)))
-    assert torsion_from_coframe(d).is_zero()
+    assert flow_torsion_cubic(d).is_zero()
 
 
 def test_torsion_from_coframe_complex_identities():
     # d eta_0 = -(1/2) lam4_read sigma^2 and d gamma_hat = (1/2)(l3 - l1) sigma^2
     m = ModelPoint.make([F(0), F(1)], [F(0), F(0), F(1)])  # torsion u2^3
     d = structure_constants(m)
-    lam = torsion_from_coframe(d)
+    lam = flow_torsion_cubic(d)
     assert lam == BinaryForm(3, [F(0), F(0), F(0), F(-1)])
-    eta0 = KForm(3, {(1, 3, 5): F(1)})
-    sigma2 = wedge(SIGMA, SIGMA)
-    assert apply_d(d, eta0) == F(-1, 2) * lam.coeffs[3] * sigma2
+    assert apply_d(d, ETA0) == F(-1, 2) * lam.coeffs[3] * SIGMA2
+    assert apply_d(d, GAMMA_HAT).is_zero()
 
 
 def test_torsion_from_coframe_rejects_non_invariant():
     z = KForm.zero(2)
+    # d e^1 = e^34: d sigma = e^234 lies outside the invariant 3-forms
+    with pytest.raises(ValueError, match="outside the invariant basis"):
+        flow_torsion_cubic(CEOperator((KForm.basis(3, 4), z, z, z, z, z)))
+    # d e^1 = e^24, d e^2 = e^13: d sigma = 0 reads l = 0, but d eta_0 = e^2345
     d = CEOperator((KForm.basis(2, 4), KForm.basis(1, 3), z, z, z, z))
-    with pytest.raises(NotInvariantTorsion):
-        torsion_from_coframe(d)
+    assert flow_torsion_cubic(d).is_zero()
+    assert not complex_holds(d)
 
 
 def test_torsion_from_coframe_float_operator(rng):
     m = ModelPoint.make([1.3, -0.4], [0.2, 1.1, -0.7])
-    lam = torsion_from_coframe(structure_constants(m))
+    lam = flow_torsion_cubic(structure_constants(m))
     tor = torsion_of(m)
     assert max(abs(float(a) + float(b))
                for a, b in zip(lam.coeffs, tor.coeffs)) < 1e-12
 
 
-def test_torsion_from_coframe_checks_whole_complex():
-    # perturb an image by a 2-form that leaves d(sigma) untouched but
-    # breaks the derivative of the simple 3-form
+def test_torsion_from_coframe_checks_whole_complex(rng):
+    # every derivative of the invariant 3-forms agrees with the reading of
+    # d sigma: exactly for d eta_0 and d gamma_hat, to 1e-13 for the
+    # rotated simple 3-forms
+    for _ in range(100):
+        assert complex_holds(structure_constants(random_exact_point(rng)))
+    # negative control: a 2-form added to d e^1 that leaves d(sigma)
+    # untouched but breaks the derivative of the simple 3-form
     d = structure_constants(BI_INVARIANT)
     imgs = list(d.images)
     imgs[0] = imgs[0] + KForm(2, {(2, 4): F(1, 3)})
     bad = CEOperator(tuple(imgs))
-    from so3g2.variety import torsion_from_coframe as reader
-    from so3g2.exterior import apply_d as _apply
-    assert _apply(bad, SIGMA) == _apply(d, SIGMA)  # the pattern is intact
-    with pytest.raises(NotInvariantTorsion):
-        reader(bad)
+    assert apply_d(bad, SIGMA) == apply_d(d, SIGMA)  # the pattern is intact
+    assert complex_holds(d) and not complex_holds(bad)
 
 
 def test_membership_rank_cases(rng):
@@ -264,6 +295,14 @@ def test_classify_representatives():
     for (x, y), want in table:
         m = ModelPoint.make([F(v) for v in x], [F(v) for v in y])
         assert classify(m) == want
+
+
+def test_classification_suite_checks_the_invariant_table(monkeypatch):
+    # negative control: a nilpotent algebra reported as not nilpotent fails the suite
+    assert verify.suite_classification(n_samples=5).passed
+    monkeypatch.setattr(verify, "is_nilpotent", lambda d: False)
+    res = verify.suite_classification(n_samples=5)
+    assert not res.passed and "(0, (0, 0), 3, 3, False)" in res.detail
 
 
 def test_classify_zero_point_raises():
