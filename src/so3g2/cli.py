@@ -17,10 +17,12 @@ function by name at call time.  `so3g2 --help` shows the paragraphs above.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -34,12 +36,13 @@ from .flow import (
     InvalidEndpoint,
     Line,
     endpoint_classify,
+    endpoint_of_term,
     contraction_field,
     halfflat_contraction_planes,
     line_cubic,
+    lowest_term,
     clock_detg,
     plane_is_invariant,
-    _poly_eval,
 )
 from .g2 import assemble_g2, bs_metric
 from .variety import (
@@ -89,24 +92,16 @@ def positive_int(text: str) -> int:
 
 def _emit(data, output=None, fmt="json"):
     """Write a JSON payload, or its rows as CSV when fmt is "csv"."""
-    if output:
-        path = Path(output)
+    with open(output, "w", newline="") if output else contextlib.nullcontext(sys.stdout) as fh:
         if fmt == "csv":
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(data["columns"])
-                writer.writerows(data["rows"])
-        else:
-            path.write_text(json.dumps(data, indent=2, default=_json_default) + "\n")
-        print(f"wrote {path}")
-    else:
-        if fmt == "csv":
-            writer = csv.writer(sys.stdout)
+            writer = csv.writer(fh)
             writer.writerow(data["columns"])
             writer.writerows(data["rows"])
         else:
-            json.dump(data, sys.stdout, indent=2, default=_json_default)
-            print()
+            json.dump(data, fh, indent=2, default=_json_default)
+            fh.write("\n")
+    if output:
+        print(f"wrote {Path(output)}")
 
 
 def _json_default(obj):
@@ -166,18 +161,16 @@ def cmd_flow(args) -> int:
         raise SystemExit2("--g2-samples has no CSV form; use --format json")
     p = BinaryForm(3, parse_vector(args.p, 4))
     q0 = BinaryForm(3, parse_vector(args.q0, 4))
-    disc0 = float(discriminant(q0))
-    if disc0 <= 0:
+    k, sign = lowest_term(q0, p)
+    if (k, sign) != (0, 1):
         # admissible endpoints may start the flow; anything else is refused
         try:
-            endpoint_classify(p.to_float(), q0.to_float())
+            endpoint_of_term(k, sign, q0)
         except InvalidEndpoint as exc:
             raise SystemExit2(f"initial data is not admissible: {exc}")
     line = Line(q0, p)
-    direction = args.direction
-    if direction == 0:
-        probe = 1e-6 * max(1.0, args.s_max)
-        direction = 1 if float(_poly_eval(line.poly, probe)) > 0 else -1
+    # Delta > 0 next to s = 0 on the side of the sign of its lowest term
+    direction = args.direction or sign
     # a boundary root is passed as the end itself, so the clock sees its multiplicity
     hit = line.boundary(direction * args.s_max)
     s_end = direction * args.s_max if hit is None else hit
@@ -195,14 +188,10 @@ def cmd_flow(args) -> int:
                     + [clock_detg(q), float(discriminant(q))])
     endpoint_report = {}
     if hit is not None:
-        q_end = line.cubic(s_end)
+        # Delta > 0 on the side the line comes from, so the lowest term of
+        # an even root is positive
         try:
-            info = endpoint_classify(p.to_float(), q_end.to_float())
-            endpoint_report = {
-                "kind": info.kind.name,
-                "root": list(info.root.coeffs) if info.root else None,
-                "lambda": info.lambda_coefficient,
-            }
+            endpoint_report = endpoint_of_term(dict(line.roots)[hit], 1, line.cubic(hit)).to_json()
         except InvalidEndpoint as exc:
             endpoint_report = {"kind": "not attained", "reason": str(exc)}
     data = {
@@ -234,19 +223,14 @@ def cmd_bs_metric(args) -> int:
 
 
 def cmd_endpoints(args) -> int:
-    p = BinaryForm(3, [float(v) for v in parse_vector(args.p, 4)])
-    q = BinaryForm(3, [float(v) for v in parse_vector(args.q, 4)])
+    p = BinaryForm(3, parse_vector(args.p, 4))
+    q = BinaryForm(3, parse_vector(args.q, 4))
     try:
         info = endpoint_classify(p, q)
     except InvalidEndpoint as exc:
         _emit({"valid": False, "reason": str(exc)}, args.output)
         return 1
-    _emit({
-        "valid": True,
-        "kind": info.kind.name,
-        "root": list(info.root.coeffs) if info.root else None,
-        "lambda": info.lambda_coefficient,
-    }, args.output)
+    _emit({"valid": True, **info.to_json()}, args.output)
     return 0
 
 
@@ -317,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--s-max", type=positive_float, default=4.0)
     c.add_argument("--steps", type=positive_int, default=80)
     c.add_argument("--direction", type=int, choices=(-1, 0, 1), default=0,
-                   help="line direction; 0 picks the positive-discriminant side")
+                   help="line direction; 0 takes the side where the discriminant "
+                        "is positive next to q0, decided exactly")
     c.add_argument("--g2-samples", action="store_true")
 
     c = sub_parser("bs-metric", fmt=True,
@@ -353,7 +338,14 @@ def main(argv=None) -> int:
     cmd = globals()["cmd_" + args.command.replace("-", "_")]
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return cmd(args)
+            code = cmd(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # a reader that closed stdout (`| head`) is no error; stdout now
+            # points at devnull, so the flush at exit writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
         except (ValueError, InvalidEndpoint, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate as _sciint
 
 from ._exact import mat_rank, nullspace, scale_to_ints
-from .binaryform import BinaryForm, GL2, discriminant, hessian, q_invert, q_map
+from .binaryform import BinaryForm, GL2, discriminant, q_invert, q_map
 from .exterior import BASIS, CEOperator, apply_d, wedge
 from .stableform import (
     SIGMA,
@@ -61,6 +61,11 @@ class EndpointInfo:
     kind: EndpointKind
     root: Optional[BinaryForm]
     lambda_coefficient: float
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind.name,
+                "root": list(self.root.coeffs) if self.root else None,
+                "lambda": self.lambda_coefficient}
 
 
 def clock_detg(q: BinaryForm) -> float:
@@ -422,7 +427,7 @@ def frame_change_torsion(lam: BinaryForm, g: GL2) -> BinaryForm:
     ])
 
 
-def is_halfflat_cubic(p: BinaryForm, tol: float = 1e-12) -> bool:
+def is_halfflat_cubic(p: BinaryForm, tol: float) -> bool:
     return abs(float(p.coeffs[1]) - float(p.coeffs[3])) <= tol * max(1.0, p.norm())
 
 
@@ -572,22 +577,17 @@ def direct_ode_oracle(d: CEOperator, g0: GL2, t_span, n_samples: int = 60) -> Or
 # endpoints
 # ---------------------------------------------------------------------------
 
-_ENDPOINT_TOL = 1e-9
-
-
 def _triple_root(q: BinaryForm):
-    """(root f, lambda) if q = lambda f^3, else None."""
-    q1, q2, q3, q4 = (float(v) for v in q.coeffs)
-    scale = max(abs(q1), abs(q2), abs(q3), abs(q4))
-    if max(abs(float(h)) for h in hessian(q).coeffs) > _ENDPOINT_TOL * max(1.0, scale) ** 2:
-        return None
+    """(root f, lambda) with q = lambda f^3, for a nonzero cube q."""
+    q1, q2, q3, q4 = (F(v) for v in q.coeffs)
     if abs(q1) >= abs(q4):
         alpha, beta = 3 * q1, q2
     else:
         alpha, beta = q3, 3 * q4
+    # scaled exactly to a largest entry of 1, so no float underflows to 0
+    top = max(abs(alpha), abs(beta))
+    alpha, beta = float(alpha / top), float(beta / top)
     n = math.hypot(alpha, beta)
-    if n == 0:
-        return None
     alpha, beta = alpha / n, beta / n
     if alpha < 0 or (alpha == 0 and beta < 0):
         alpha, beta = -alpha, -beta
@@ -599,6 +599,40 @@ class InvalidEndpoint(ValueError):
     pass
 
 
+def lowest_term(q: BinaryForm, p: BinaryForm) -> tuple[Optional[int], int]:
+    """(k, sign) of the lowest term c_k s^k of Delta(q + s p): the
+    multiplicity k of s = 0 and the sign of c_k, decided on the Fraction
+    values of q and p; (None, 0) when Delta vanishes on the whole line."""
+    poly = line_discriminant_poly(BinaryForm(3, [F(v) for v in q.coeffs]),
+                                  BinaryForm(3, [F(v) for v in p.coeffs]))
+    return next(((k, 1 if c > 0 else -1) for k, c in enumerate(reversed(poly)) if c),
+                (None, 0))
+
+
+def endpoint_of_term(k: Optional[int], sign: int, q_end: BinaryForm) -> EndpointInfo:
+    """The endpoint lemma as a table on the lowest term (k, sign) of
+    Delta(q_end + s p) (see lowest_term).
+
+    A cubic with a repeated root is real-equivalent to u1^2 u2, u1^3 or 0,
+    and Delta(g.q) = det(g)^6 Delta(q), so (k, sign) is read off these
+    normal forms (LEDGER.md, "Endpoint lemma as root multiplicity"): k = 3
+    exactly when q_end = lambda f^3 with f dividing p but f^2 not, k = 4
+    only at the zero cubic, and Delta > 0 next to s = 0 on some side
+    unless k is even with c_k < 0 or Delta vanishes on the line.
+    """
+    if k == 0:
+        raise InvalidEndpoint("endpoint must have vanishing discriminant")
+    if k == 1 or (k == 2 and sign > 0):
+        raise InvalidEndpoint("invalid endpoint: double root that is not triple")
+    if k == 3:
+        root, lam = _triple_root(q_end)
+        return EndpointInfo(kind=EndpointKind.TripleRootDividingP, root=root,
+                            lambda_coefficient=lam)
+    if k == 4 and sign > 0:
+        return EndpointInfo(kind=EndpointKind.ZeroCubic, root=None, lambda_coefficient=0.0)
+    raise InvalidEndpoint("flow line never has positive discriminant at this point")
+
+
 def endpoint_classify(p: BinaryForm, q_end: BinaryForm) -> EndpointInfo:
     """Classify a boundary cubic of the flow line in direction p.
 
@@ -606,43 +640,13 @@ def endpoint_classify(p: BinaryForm, q_end: BinaryForm) -> EndpointInfo:
     divisor of p, and in both cases the line must enter the positive
     discriminant region next to the endpoint.  Anything else (in
     particular a double-but-not-triple root) raises InvalidEndpoint.
+    Decided exactly, on the Fraction values of p and q_end, by
+    endpoint_of_term.
 
     The returned root is unit-normalized with its first nonzero
     component positive and the coefficient scaled so q_end = lambda * root^3.
     """
-    tol = _ENDPOINT_TOL
-    scale = max(1.0, q_end.norm()) ** 4
-    if abs(float(discriminant(q_end))) > tol * scale:
-        raise InvalidEndpoint("endpoint must have vanishing discriminant")
-    line_poly = line_discriminant_poly(q_end, p)
-    if not _line_enters_positive(line_poly):
-        raise InvalidEndpoint("flow line never has positive discriminant at this point")
-    if q_end.norm() <= tol * max(1.0, p.norm()):
-        return EndpointInfo(kind=EndpointKind.ZeroCubic, root=None, lambda_coefficient=0.0)
-    tr = _triple_root(q_end)
-    if tr is None:
-        raise InvalidEndpoint("invalid endpoint: double root that is not triple")
-    root, lam = tr
-    alpha, beta = (float(v) for v in root.coeffs)
-    if abs(float(p(-beta, alpha))) > tol * max(1.0, p.norm()):
-        raise InvalidEndpoint("triple root does not divide the torsion direction")
-    return EndpointInfo(kind=EndpointKind.TripleRootDividingP, root=root,
-                        lambda_coefficient=lam)
-
-
-def _line_enters_positive(poly) -> bool:
-    """Whether Delta(q + s p) > 0 for small |s| != 0 on at least one side."""
-    coeffs = [float(c) for c in poly]
-    scale = max(abs(c) for c in coeffs) or 1.0
-    ordered = coeffs[::-1]  # [c0, c1, c2, c3, c4]; lowest order decides near s = 0
-    for j, c in enumerate(ordered):
-        if abs(c) > _ENDPOINT_TOL * scale:
-            if j == 0:
-                return c > 0
-            pos_right = c > 0
-            pos_left = (c > 0) if j % 2 == 0 else (c < 0)
-            return pos_right or pos_left
-    return False
+    return endpoint_of_term(*lowest_term(q_end, p), q_end)
 
 
 # ---------------------------------------------------------------------------

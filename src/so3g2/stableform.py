@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import is_exact
 from .binaryform import BinaryForm
 # wedge is unused here, but bench/test_bench.py reads stableform.wedge
 from .exterior import BASIS, DIM, KForm, _contract_wedge, _sort_with_sign, wedge, wedge_all
@@ -254,10 +255,11 @@ def threeform_to_cubic(a: KForm) -> BinaryForm:
         [(2, 4, 6)],
     ]
     tol = 1e-9 * max(1.0, a.max_abs())
+    zero = 0 if is_exact(a.coeffs.values()) else 0.0   # in the form's scalar type
     seen = set()
     vals = []
     for grp in groups:
-        ref = a.coeffs.get(grp[0], 0)
+        ref = a.coeffs.get(grp[0], zero)
         for idx in grp:
             seen.add(idx)
             if abs(float(a.coeffs.get(idx, 0)) - float(ref)) > tol:

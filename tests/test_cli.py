@@ -3,15 +3,20 @@ import csv
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import so3g2
 from so3g2 import cli
 from so3g2.binaryform import BinaryForm
 from so3g2.cli import build_parser, main, parse_scalar
-from so3g2.flow import integrate_line
+from so3g2.flow import integrate_line, lowest_term
 from so3g2.g2 import assemble_g2
 from so3g2.verify import ALL_SUITES, SAMPLED_SUITES
 from fractions import Fraction
@@ -75,6 +80,21 @@ def test_warning_is_one_stderr_line(capsys):
     assert code == 0 and json.loads(captured.out)["class"] == "SO3semidirectR3"
     assert captured.err.splitlines() == [
         "warning: snapping a near-zero classification invariant to 0"]
+
+
+def test_closed_stdout_exits_0_quietly():
+    # the read end is closed before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(so3g2.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "so3g2.cli", "flow", "--p", "1,0,-1,0", "--q0", "1,0,0,0",
+             "--steps", "8", "--g2-samples"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_curvature_report(capsys):
@@ -187,10 +207,23 @@ def test_flow_stops_at_a_boundary_root_next_to_the_start(capsys):
 
 
 def test_flow_from_an_admissible_endpoint_leaves_s_0(capsys):
-    # Delta = -4 (2 + s) s^3: the triple root s = 0 is the start, not a boundary
+    # Delta = -4 (2 + s) s^3: the triple root s = 0 is the start, not a boundary;
+    # its lowest term -8 s^3 is negative, so the flow leaves to the left
+    assert lowest_term(BinaryForm(3, [2, 0, 0, 0]), BinaryForm(3, [1, 0, 1, 0])) == (3, -1)
     code, out = run_cli(capsys, "flow", "--q0", "2,0,0,0", "--p", "1,0,1,0", "--steps", "4")
     assert code == 0
     assert [row[0] for row in json.loads(out)["rows"]] == [-0.5, -1.0, -1.5, -2.0]
+
+
+def test_flow_direction_0_is_the_sign_at_s_0(capsys):
+    # Delta = 4 (1/2000000 - s): positive at s = 0, with a simple root 5e-7
+    # beyond it, so direction 0 takes the right side and stops at the root
+    code, out = run_cli(capsys, "flow", "--p=-1,0,0,0", "--q0=1/2000000,0,-1,0", "--steps", "4")
+    assert code == 0
+    data = json.loads(out)
+    assert [row[0] for row in data["rows"]] == [1.25e-7, 2.5e-7, 3.75e-7, 5e-7]
+    assert data["endpoint"] == {"kind": "not attained",
+                                "reason": "invalid endpoint: double root that is not triple"}
 
 
 def test_flow_rejects_bad_initial_data(capsys):
@@ -215,6 +248,20 @@ def test_endpoints_command(capsys):
     code, out = run_cli(capsys, "endpoints", "--p", "1,0,0,0", "--q", "1,0,0,0")
     assert code == 1
     assert not json.loads(out)["valid"]
+
+
+def test_endpoints_input_is_decided_as_the_rational_it_represents(capsys):
+    # 0.1, 0.3, 0.3, 0.1 are floats off (u1 + u2)^3 / 10: Delta = -8.6e-51
+    code, out = run_cli(capsys, "endpoints", "--p", "1,0,-1,0", "--q", "0.1,0.3,0.3,0.1")
+    assert code == 1
+    assert json.loads(out) == {"valid": False,
+                               "reason": "endpoint must have vanishing discriminant"}
+    code, out = run_cli(capsys, "endpoints", "--p", "1,0,-1,0", "--q", "1/10,3/10,3/10,1/10")
+    assert code == 0
+    data = json.loads(out)
+    assert data["valid"] and data["kind"] == "TripleRootDividingP"
+    assert all(abs(v - 0.5 ** 0.5) < 1e-15 for v in data["root"])
+    assert abs(data["lambda"] - 0.2 * 2 ** 0.5) < 1e-15
 
 
 def test_contract_command(capsys):

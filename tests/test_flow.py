@@ -32,6 +32,7 @@ from so3g2.flow import (
     integrate_time_grid,
     line_cubic,
     line_discriminant_poly,
+    lowest_term,
     no_complete_line_witness,
     plane_is_invariant,
     planes_equal,
@@ -238,6 +239,11 @@ def test_endpoint_admissible_families():
     info = endpoint_classify(BinaryForm(3, [1.0, 0.0, -1.0, 0.0]),
                              BinaryForm(3, [0.0, 0.0, 0.0, 0.0]))
     assert info.kind == EndpointKind.ZeroCubic
+    # a cube below the float range keeps its root; lambda underflows to 0
+    info = endpoint_classify(BinaryForm(3, [1, 0, 1, 0]),
+                             BinaryForm(3, [F(1, 10 ** 400), 0, 0, 0]))
+    assert info.kind == EndpointKind.TripleRootDividingP
+    assert info.root.coeffs == (1.0, 0.0) and info.lambda_coefficient == 0.0
 
 
 def test_endpoint_ruled_out_families():
@@ -260,10 +266,76 @@ def test_endpoint_ruled_out_families():
 
 def test_endpoint_nondividing_triple_root_rejected():
     # a triple root not dividing p forces the adjacent discriminant
-    # negative, so the rejection comes from the line-positivity check
-    with pytest.raises(InvalidEndpoint):
+    # negative: Delta = -108 s^2 + ..., the row (k, sign) = (2, -1)
+    with pytest.raises(InvalidEndpoint, match="never has positive"):
         endpoint_classify(BinaryForm(3, [1.0, 0.0, 1.0, 0.0]),
                           BinaryForm(3, [0.0, 0.0, 0.0, 2.0]))
+
+
+def _table_claims(sp, q, p, coeffs):
+    """Whether Delta(q + s p), [c4, ..., c0] from line_discriminant_poly,
+    equals coeffs, as polynomials in the symbols p."""
+    got = line_discriminant_poly(BinaryForm(3, q), BinaryForm(3, p))
+    return all(sp.expand(a - b) == 0 for a, b in zip(got, coeffs))
+
+
+def test_endpoint_table_at_the_normal_forms():
+    """The rows of flow.endpoint_of_term at u1^2 u2, u1^3 and 0 with symbolic p;
+    every cubic with a repeated root is real-equivalent to one of them, and
+    Delta(g.q) = det(g)^6 Delta(q) keeps (k, sign)."""
+    sp = pytest.importorskip("sympy")
+    p = list(sp.symbols("p1:5"))
+    p1, p2, p3, p4 = p
+    s, x = sp.symbols("s x")
+    disc_p = discriminant(BinaryForm(3, p))
+    # line_discriminant_poly is the discriminant of the dehomogenized cubic
+    for q in ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [1, 2, 0, 3]):
+        ref = sp.discriminant(sum((q[i] + s * p[i]) * x ** (3 - i) for i in range(4)), x)
+        got = line_discriminant_poly(BinaryForm(3, q), BinaryForm(3, p))
+        assert sp.expand(ref - sum(c * s ** (4 - i) for i, c in enumerate(got))) == 0
+
+    # u1^3, f = u1: f | p iff p4 = 0, f^2 | p iff p3 = p4 = 0
+    cube = [disc_p, -2 * (27 * p1 * p4 ** 2 - 9 * p2 * p3 * p4 + 2 * p3 ** 3), -27 * p4 ** 2, 0, 0]
+    assert _table_claims(sp, [1, 0, 0, 0], p, cube)
+    # k >= 3 iff c2 = -27 p4^2 vanishes iff f | p; then c3 = -4 p3^3, so k = 3
+    # iff f^2 does not divide p; otherwise k = 2 with c2 < 0
+    assert sp.expand(cube[1].subs(p4, 0) + 4 * p3 ** 3) == 0
+    assert all(sp.sympify(c).subs({p3: 0, p4: 0}).expand() == 0 for c in cube)
+    # u1^2 u2: k = 1 unless p4 = 0, then c2 = p3^2 > 0 (k = 2, sign > 0)
+    # unless also p3 = 0, where Delta vanishes on the whole line
+    double = [disc_p, 2 * (9 * p1 * p3 * p4 - 6 * p2 ** 2 * p4 + p2 * p3 ** 2),
+              p3 ** 2 - 12 * p2 * p4, -4 * p4, 0]
+    assert _table_claims(sp, [0, 1, 0, 0], p, double)
+    assert sp.expand(double[2].subs(p4, 0) - p3 ** 2) == 0
+    assert all(sp.sympify(c).subs({p3: 0, p4: 0}).expand() == 0 for c in double)
+    # 0: Delta(s p) = s^4 Delta(p), so k = 4 or Delta vanishes on the line
+    assert _table_claims(sp, [0, 0, 0, 0], p, [disc_p, 0, 0, 0, 0])
+    # negative control: moving one coefficient of u1^3 breaks its row
+    e = sp.Symbol("e", nonzero=True)
+    assert not _table_claims(sp, [1, 0, 0, e], p, cube)
+    assert sp.expand(line_discriminant_poly(BinaryForm(3, [1, 0, 0, e]),
+                                            BinaryForm(3, p))[-1] + 27 * e ** 2) == 0
+
+    # Delta(g.q) = det(g)^6 Delta(q); not with another power of det(g)
+    a, b, c, d = sp.symbols("a b c d")
+    q = BinaryForm(3, list(sp.symbols("q1:5")))
+    moved = discriminant(q.substitute(a, b, c, d))
+    assert sp.expand(moved - (a * d - b * c) ** 6 * discriminant(q)) == 0
+    assert sp.expand(moved - (a * d - b * c) ** 4 * discriminant(q)) != 0
+
+
+@pytest.mark.parametrize("q_end, p, term", [
+    ((1, 0, 0, 0), (5, 1, 2, 0), (3, -1)),     # u1^3, u1 | p: c3 = -32
+    ((1, 0, 0, 0), (5, 1, 0, 0), (None, 0)),   # u1^3, u1^2 | p
+    ((1, 0, 0, 0), (0, 0, 0, 1), (2, -1)),     # u1^3, u1 does not divide p: c2 = -27
+    ((0, 1, 0, 0), (0, 0, 0, 1), (1, -1)),     # u1^2 u2: c1 = -4
+    ((0, 1, 0, 0), (0, 0, 1, 0), (2, 1)),      # c2 = 1
+    ((0, 0, 0, 0), (1, 0, -1, 0), (4, 1)),     # 0: c4 = Delta(p) = 4
+    ((0, 0, 0, 0), (1, 0, 1, 0), (4, -1)),     # c4 = -4
+    ((F(1, 3), 0, -1, 0), (0, 0, 1, 0), (0, 1)),
+])
+def test_lowest_term_at_the_normal_forms(q_end, p, term):
+    assert lowest_term(BinaryForm(3, list(q_end)), BinaryForm(3, list(p))) == term
 
 
 def _certified(p, s, k):
@@ -465,6 +537,8 @@ def test_flow_torsion_cubic_sign_relation():
     p = flow_torsion_cubic(structure_constants(m))
     tor = torsion_of(m)
     assert max(abs(float(a) + float(b)) for a, b in zip(p.coeffs, tor.coeffs)) < 1e-12
+    # a float operator reads a float cubic, its zero coefficients too
+    assert [type(c) for c in p.coeffs] == [float] * 4, p.coeffs
 
 
 def test_plane_tangency_defect_float_families():
