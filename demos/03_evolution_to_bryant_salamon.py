@@ -39,9 +39,9 @@ p = flow_torsion_cubic(d)
 print(f"torsion direction p = {p}")
 q_b = BinaryForm(3, [LAM, 0.0, 0.0, 0.0])
 for s in (0.5, 1.0, 2.0, 4.0):
-    q = BinaryForm(3, [LAM + s, 0.0, -s, 0.0])
-    print(f"s={s:4.1f}: Delta = {float(discriminant(q)):9.4f}, "
-          f"det g = {clock_detg(q):.6f}, t = {time_integral(q_b, p, 0.0, s):.6f}")
+    disc = float(discriminant(BinaryForm(3, [LAM + s, 0.0, -s, 0.0])))
+    print(f"s={s:4.1f}: Delta = {disc:9.4f}, "
+          f"det g = {clock_detg(disc):.6f}, t = {time_integral(q_b, p, 0.0, s):.6f}")
 print("the t-integral grows without bound: the complete end is at infinite time")
 
 print()

@@ -176,16 +176,12 @@ def cmd_flow(args) -> int:
     s_end = direction * args.s_max if hit is None else hit
     svals = [s_end * (i + 1) / args.steps for i in range(args.steps - 1)] + [s_end]
     rows = []
-    t = 0.0
-    prev = 0.0
     # s is a float, so every row is a float cubic: take the line in floats
     q0_f, p_f = q0.to_float(), p.to_float()
-    for s in svals:
+    for s, t in zip(svals, line.times(svals).tolist()):
         q = line_cubic(q0_f, p_f, s)
-        t += line.time(prev, s)
-        prev = s
-        rows.append([s, t] + [float(v) for v in q.coeffs]
-                    + [clock_detg(q), float(discriminant(q))])
+        disc = float(discriminant(q))
+        rows.append([s, t] + [float(v) for v in q.coeffs] + [clock_detg(disc), disc])
     endpoint_report = {}
     if hit is not None:
         # Delta > 0 on the side the line comes from, so the lowest term of

@@ -13,6 +13,7 @@ on the invariant forms exists for cross-validation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -68,9 +69,9 @@ class EndpointInfo:
                 "lambda": self.lambda_coefficient}
 
 
-def clock_detg(q: BinaryForm) -> float:
-    """det g from the discriminant clock (det g)^6 = (3/4) Delta(q)."""
-    disc = float(discriminant(q))
+def clock_detg(disc: float) -> float:
+    """det g from the discriminant clock (det g)^6 = (3/4) Delta, given the
+    float discriminant Delta of the cubic; 0 where Delta <= 0."""
     if disc <= 0:
         return 0.0
     return (0.75 * disc) ** (1.0 / 6.0)
@@ -252,18 +253,52 @@ def _sign_at(poly, x) -> int:
     return (total > 0) - (total < 0)
 
 
+#: Gauss-Legendre nodes and weights on [-1, 1] of one clock panel.  Where the
+#: Bernstein ellipse of a panel avoids the roots of Delta the integrand
+#: (3/4 Delta)^(-1/6) is analytic there, and n nodes converge like rho^(-2n).
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+#: A panel goes to Line.time when a root of Delta lies within this many
+#: half-widths of its midpoint (rho >= 7.8 outside) ...
+_PANEL_ROOT_DISTANCE = 4.0
+#: ... or when at a node Horner's error bound sum |c_i| |s|^i exceeds this
+#: many times |Delta(s)|, where the expanded polynomial cancels.
+_PANEL_CONDITION = 50.0
+#: Newton on the clock stops after a step that moves no s by more than this,
+#: relative to max(1, |s|), so the error left is about its square; it gives
+#: up after _NEWTON_STEPS iterations (halving towards a root takes ~50).
+_NEWTON_TOL = 1e-12
+_NEWTON_STEPS = 100
+
+
 class Line:
     """The flow line q0 + s p with its discriminant polynomial Delta(s).
 
-    poly is exact when q0 and p are; its scaling to Python ints and its
-    real roots with their multiplicities are computed once per line.
+    poly is exact when q0 and p are.  Its scaling to Python ints and its
+    exact real roots with their multiplicities are computed on first use:
+    times and s_at build them only for a panel that falls back to time or
+    a Newton step that needs an exact value.
     """
 
     def __init__(self, q0: BinaryForm, p: BinaryForm):
         self.q0, self.p = q0, p
         self.poly = line_discriminant_poly(q0, p)
-        self.scaled = scale_to_ints(self.poly)
-        self.roots = _poly_real_roots(self.poly)
+
+    @functools.cached_property
+    def scaled(self):
+        return scale_to_ints(self.poly)
+
+    @functools.cached_property
+    def roots(self) -> list[tuple[float, int]]:
+        return _poly_real_roots(self.poly)
+
+    @functools.cached_property
+    def _float_poly(self) -> np.ndarray:
+        return np.array([float(c) for c in self.poly])
+
+    @functools.cached_property
+    def _float_roots(self) -> np.ndarray:
+        """All complex roots of the float poly; they only choose panels."""
+        return np.roots(self._float_poly)
 
     def cubic(self, s) -> BinaryForm:
         return line_cubic(self.q0, self.p, s)
@@ -305,26 +340,106 @@ class Line:
             total = _end_integral(_taylor_shift(self.scaled, end, sign), b - a, k, gap)
         return total if s_from < s_to else -total
 
+    def _horner(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Delta at the floats s by Horner on the float coefficients of poly,
+        and where that value is positive and trusted: Horner's error bound
+        sum |c_i| |s|^i is below _PANEL_CONDITION times it."""
+        vals = _poly_eval(self._float_poly, s)
+        return vals, _PANEL_CONDITION * vals > _poly_eval(np.abs(self._float_poly), np.abs(s))
+
+    def times(self, s_values, start: float = 0.0) -> np.ndarray:
+        """Cumulative physical time from start to each of s_values in turn.
+
+        Each step is one Gauss-Legendre panel on the float coefficients of
+        poly, all in one vectorised call.  A panel goes to time instead when
+        a root of Delta (np.roots, used for this choice only) lies within
+        _PANEL_ROOT_DISTANCE half-widths of its midpoint or Horner's value
+        at a node is not trusted, so an end that is a root keeps its exact
+        multiplicity.  Delta must be positive inside every step.
+        """
+        ends = np.asarray(s_values, dtype=float)
+        starts = np.concatenate(([start], ends[:-1]))
+        mid, half = 0.5 * (starts + ends), 0.5 * (ends - starts)
+        vals, trusted = self._horner(mid[:, None] + half[:, None] * _GL_NODES)
+        near = np.abs(self._float_roots[:, None] - mid) <= _PANEL_ROOT_DISTANCE * np.abs(half)
+        ok = trusted.all(axis=1) & ~near.any(axis=0)
+        steps = half * ((0.75 * np.where(ok[:, None], vals, 1.0)) ** (-1.0 / 6.0) @ _GL_WEIGHTS)
+        for i in np.flatnonzero(~ok):
+            steps[i] = self.time(float(starts[i]), float(ends[i]))
+        return np.cumsum(steps)
+
+    def s_at(self, t_grid, s0: float) -> np.ndarray:
+        """The line parameters at the times t_grid, with s0 at t_grid[0].
+
+        Newton on the clock of times from s0, s <- s + (t - T(s)) det g(s),
+        moves every grid point in one times call per iteration, from the
+        tangent at s0; det g comes from Horner's Delta, or from the exact
+        value where that is not trusted.  t_grid is monotonic, Delta(s0) > 0.
+        A step that would reach the edge (the nearest real part ahead of a
+        root of the float poly lying closer to the axis than to s0, so that
+        a real root returned as a complex cluster counts) or leave Delta > 0
+        stops halfway.  The first such step makes the first exact root
+        ahead the edge, and a grid that reaches it raises ValueError.
+        """
+        if float(discriminant(self.cubic(s0))) <= 0:
+            raise ValueError("start must have positive discriminant")
+
+        def delta(s):
+            vals, trusted = self._horner(s)
+            for i in np.flatnonzero(~trusted):
+                num, scale = _scaled_value(self.scaled[0], float(s[i]))
+                vals[i] = num / (scale * self.scaled[1])
+            return vals
+
+        tau = np.asarray(t_grid, dtype=float)
+        tau = tau - tau[0]
+        sign = -1.0 if tau[-1] < 0 else 1.0
+        ahead = [z.real for z in self._float_roots if sign * (z.real - s0) > abs(z.imag)]
+        edge = min(ahead, key=lambda x: sign * x, default=sign * math.inf)
+        checked = False
+        s, clock = np.full_like(tau, s0), np.zeros_like(tau)
+        vals = delta(s)
+        for _ in range(_NEWTON_STEPS):
+            new = s + (tau - clock) * (0.75 * np.maximum(vals, 0.0)) ** (1.0 / 6.0)
+            vals = delta(new)
+            past = (sign * (new - edge) >= 0) | ~(vals > 0)
+            if past.any():
+                if not checked:
+                    checked = True
+                    edge = min((r for r, _ in self.roots if sign * (r - s0) > 0),
+                               key=lambda r: sign * r, default=sign * math.inf)
+                    if math.isfinite(edge) and abs(self.time(s0, edge)) <= np.max(np.abs(tau)):
+                        raise ValueError(f"time grid reaches the boundary root s = {edge!r} of the line")
+                    past = (sign * (new - edge) >= 0) | ~(vals > 0)
+                new = np.where(past, 0.5 * (s + edge), new)
+                vals = delta(new)
+            if np.max(np.abs(new - s)) <= _NEWTON_TOL * max(1.0, np.max(np.abs(new))):
+                return new
+            s, clock = new, self.times(new, s0)
+        raise RuntimeError("time reparameterization failed")
+
     def trajectory(self, s_values) -> Trajectory:
         """Sample the closed-form flow along prescribed line parameters.
 
-        s_values are offsets from q0, and t is measured from q0 (s = 0);
-        the interior must have positive discriminant.  Frames are chosen on
-        the continuous det > 0 branch.
+        s_values are offsets from q0, and t is measured from q0 (s = 0) by
+        times; the interior must have positive discriminant.
         """
+        return self._frames(s_values, self.times(s_values).tolist())
+
+    def _frames(self, s_values, t_values) -> Trajectory:
+        """The states at s_values with times t_values, and their frames on
+        the continuous det > 0 branch; each s must have positive discriminant."""
         traj = Trajectory(p=self.p, q_start=self.q0)
         prev_g = None
-        prev_s = 0.0
-        t = 0.0
-        for s in s_values:
+        for s, t in zip(s_values, t_values):
             q = self.cubic(s)
-            if float(discriminant(q)) <= 0:
+            disc = float(discriminant(q))
+            if disc <= 0:
                 raise ValueError(f"discriminant not positive at s={s}")
-            t += self.time(prev_s, s)
             g = _nearest_frame(q, prev_g)
-            traj.states.append(FlowState(q=q, p=self.p, s=float(s), t=t, detg=clock_detg(q)))
+            traj.states.append(FlowState(q=q, p=self.p, s=float(s), t=t, detg=clock_detg(disc)))
             traj.frames.append(g)
-            prev_g, prev_s = g, s
+            prev_g = g
         return traj
 
 
@@ -459,29 +574,12 @@ def integrate_time_grid(p: BinaryForm, q_start: BinaryForm, s0: float,
                         t_grid) -> Trajectory:
     """Sample the closed-form flow on a prescribed physical-time grid.
 
-    The line parameter s(t) solves ds/dt = det g starting from s0 at the
-    first grid time; the start must have positive discriminant.
+    The line parameters are Line.s_at(t_grid, s0), so s0 is at the first
+    grid time; the start must have positive discriminant, and a grid that
+    reaches the boundary of the line raises ValueError.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if float(discriminant(line_cubic(q_start, p, s0))) <= 0:
-        raise ValueError("start must have positive discriminant")
-
-    def rhs(_t, y):
-        return [clock_detg(line_cubic(q_start, p, y[0]))]
-
-    sol = _sciint.solve_ivp(rhs, (t_grid[0], t_grid[-1]), [s0], method="DOP853",
-                            rtol=1e-12, atol=1e-14, dense_output=True)
-    if sol.status != 0:
-        raise RuntimeError("time reparameterization failed")
-    traj = Trajectory(p=p, q_start=q_start)
-    prev_g = None
-    for t, s in zip(t_grid, sol.sol(t_grid)[0].tolist()):
-        q = line_cubic(q_start, p, s)
-        g = _nearest_frame(q, prev_g)
-        traj.states.append(FlowState(q=q, p=p, s=s, t=float(t), detg=clock_detg(q)))
-        traj.frames.append(g)
-        prev_g = g
-    return traj
+    line = Line(q_start, p)
+    return line._frames(line.s_at(t_grid, s0).tolist(), np.asarray(t_grid, dtype=float).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +689,10 @@ def _triple_root(q: BinaryForm):
     alpha, beta = alpha / n, beta / n
     if alpha < 0 or (alpha == 0 and beta < 0):
         alpha, beta = -alpha, -beta
-    lam = q(alpha, beta) / (alpha ** 2 + beta ** 2) ** 3
+    try:
+        lam = q(alpha, beta) / (alpha ** 2 + beta ** 2) ** 3
+    except OverflowError:
+        raise ValueError("the cube's coefficient lambda is beyond the float range") from None
     return BinaryForm(1, [alpha, beta]), lam
 
 
@@ -602,9 +703,13 @@ class InvalidEndpoint(ValueError):
 def lowest_term(q: BinaryForm, p: BinaryForm) -> tuple[Optional[int], int]:
     """(k, sign) of the lowest term c_k s^k of Delta(q + s p): the
     multiplicity k of s = 0 and the sign of c_k, decided on the Fraction
-    values of q and p; (None, 0) when Delta vanishes on the whole line."""
-    poly = line_discriminant_poly(BinaryForm(3, [F(v) for v in q.coeffs]),
-                                  BinaryForm(3, [F(v) for v in p.coeffs]))
+    values of q and p; (None, 0) when Delta vanishes on the whole line.
+    The quartic is built only when the constant term Delta(q) is 0."""
+    q = BinaryForm(3, [F(v) for v in q.coeffs])
+    c0 = discriminant(q)
+    if c0:
+        return 0, (1 if c0 > 0 else -1)
+    poly = line_discriminant_poly(q, BinaryForm(3, [F(v) for v in p.coeffs]))
     return next(((k, 1 if c > 0 else -1) for k, c in enumerate(reversed(poly)) if c),
                 (None, 0))
 

@@ -414,10 +414,8 @@ def suite_flow_clock(seed: int = 6, n_samples: int = 20) -> SuiteResult:
     herm_stationary = abs(dpoly(0.0))
     mono_ok = all(dpoly(s) < 0 for s in np.linspace(0.05, 0.5, 12))
     mono_ok = mono_ok and all(dpoly(s) > 0 for s in np.linspace(-0.25, -0.05, 8))
-    # direct integration against the closed-form line, one half-flat
-    # representative per model class
-    from scipy.optimize import brentq
-
+    # direct integration against the closed-form line at the clock's own
+    # inverse, one half-flat representative per model class
     representatives = [
         ([1.0, 0.0], [-1.0, 0.0, 1.0]),    # compact semisimple
         ([1.0, 0.0], [-1.0, 0.0, -1.0]),   # complex semisimple
@@ -431,8 +429,7 @@ def suite_flow_clock(seed: int = 6, n_samples: int = 20) -> SuiteResult:
         p_read = flow_torsion_cubic(d)
         orc = direct_ode_oracle(d, GL2.identity(), (0.0, 0.15), n_samples=7)
         line = Line(Q0.to_float(), p_read)
-        for i, t in enumerate(orc.ts):
-            s_t = brentq(lambda s: line.time(0.0, s) - t, -0.2, 0.9, xtol=1e-13)
+        for i, s_t in enumerate(line.s_at(orc.ts, 0.0).tolist()):
             q_closed = line.cubic(s_t)
             worst_oracle = max(worst_oracle, max(
                 abs(float(aa) - float(bb))

@@ -264,6 +264,16 @@ def test_endpoints_input_is_decided_as_the_rational_it_represents(capsys):
     assert abs(data["lambda"] - 0.2 * 2 ** 0.5) < 1e-15
 
 
+def test_endpoints_with_a_cube_beyond_the_float_range_is_a_usage_error(capsys):
+    # 10^400 u1^3 is an admissible endpoint whose lambda no float holds
+    code = main(["endpoints", "--p", "1,0,1,0", "--q", f"{10 ** 400},0,0,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the cube's coefficient lambda is beyond the float range"]
+
+
 def test_contract_command(capsys):
     code, out = run_cli(capsys, "contract", "--a", "1", "--b", "0", "--c", "0",
                         "--lam", "1,2,3,4", "--planes")

@@ -129,7 +129,7 @@ def test_clock_identity_along_line():
     p = BinaryForm(3, [1.0, 0.0, -1.0, 0.0])
     for s in np.linspace(0.05, 2.0, 12):
         q = line_cubic(BinaryForm(3, [1.0, 0.0, 0.0, 0.0]), p, s)
-        assert abs(clock_detg(q) ** 6 - 0.75 * float(discriminant(q))) < 1e-12
+        assert abs(clock_detg(float(discriminant(q))) ** 6 - 0.75 * float(discriminant(q))) < 1e-12
 
 
 def test_time_integral_against_plain_quadrature():
@@ -150,7 +150,7 @@ def test_advance_static_and_clamp():
     line = Line(q0, BinaryForm(3, [0.0] * 4))
     assert line.boundary(2.0) is None
     assert line.cubic(2.0) == q0
-    assert abs(line.time(0.0, 2.0) - 2.0 / clock_detg(q0)) < 1e-10
+    assert abs(line.time(0.0, 2.0) - 2.0 / clock_detg(float(discriminant(q0)))) < 1e-10
     # clamping at the discriminant boundary, one unit back where q = u1^3
     p = BinaryForm(3, [1.0, 0.0, -1.0, 0.0])
     line = Line(line_cubic(BinaryForm(3, [1.0, 0, 0, 0]), p, 1.0), p)
@@ -1003,6 +1003,129 @@ def test_one_piece_clock_between_two_roots_against_mpmath(mpmath):
         got = time_integral(q0, p, float(lo), float(hi))
         assert abs(got - ref) <= 1e-12 * abs(ref), (m, got, ref)
         assert time_integral(q0, p, float(hi), float(lo)) == -got
+
+
+# ---------------------------------------------------------------------------
+# the clock on Gauss-Legendre panels and its Newton inverse
+# ---------------------------------------------------------------------------
+
+#: Delta of this line has a complex pair at -0.397 +- 0.294i, 0.29
+#: half-widths off the midpoint of the panel [-1.4, 0.6], and its real roots
+#: lie more than 2.5 away; Horner's value is trusted at every node there
+COMPLEX_PAIR_LINE = (BinaryForm(3, [F(-1, 3), -1, 1, F(1, 2)]), BinaryForm(3, [-2, 1, 2, 0]))
+
+
+def _mp_clock(mpmath, poly, a, b):
+    """The clock from a to b at 40 digits, on the exact values of poly."""
+    coeffs = [_mp(c) for c in poly]
+    return mpmath.quad(lambda s: (mpmath.mpf(3) / 4 * mpmath.polyval(coeffs, s))
+                       ** (-mpmath.mpf(1) / 6), [_mp(a), _mp(b)])
+
+
+def test_panel_clock_next_to_a_complex_pair_against_mpmath(mpmath, monkeypatch):
+    from so3g2 import flow
+
+    line = Line(*COMPLEX_PAIR_LINE)
+    assert min(abs(z - complex(-0.3973, 0.2942)) for z in line._float_roots) < 1e-4
+    assert line._horner(-0.4 + flow._GL_NODES)[1].all()
+    ref = _mp_clock(mpmath, line.poly, -1.4, 0.6)
+    assert abs(line.times([0.6], start=-1.4)[0] - ref) <= 1e-13 * ref
+    # the inverse from s0 = -1.4, with its Newton panels next to the pair
+    s_values = [-1.0, -0.6, -0.2, 0.2, 0.6]
+    t_grid = [0.0] + [float(_mp_clock(mpmath, line.poly, -1.4, s)) for s in s_values]
+    got = Line(*COMPLEX_PAIR_LINE).s_at(t_grid, -1.4)
+    assert got[0] == -1.4
+    for g, s in zip(got[1:], s_values):
+        assert abs(g - s) <= 1e-13 * abs(s), (g, s)
+    # negative control: without the distance test 24 nodes take the panel,
+    # whose Bernstein ellipse (rho = 1.34) the pair cuts
+    monkeypatch.setattr(flow, "_PANEL_ROOT_DISTANCE", 0.0)
+    assert abs(Line(*COMPLEX_PAIR_LINE).times([0.6], start=-1.4)[0] - ref) > 1e-9 * ref
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_panel_clock_next_to_a_multiple_root_against_mpmath(mpmath, k):
+    # panels from s0 = r +- 1/20 towards a k-fold root r != 0 (k = 4 is the
+    # zero cubic), the last 1e-9 of the way short of it, and their Newton
+    # inverse from s0 != 0; both directions occur
+    rng = random.Random(300 + k)
+    for _ in range(4):
+        q0, p, r, s0, (q_r, p_n), det = _multiple_root_line(rng, k)
+        h = [_mp(c) for c in line_discriminant_poly(q_r, p_n)[:-k]]
+        scale = _mp(det) ** 6 * 3 / 4
+
+        def integrand(t):
+            return (scale * t ** k * mpmath.polyval(h, t)) ** (-mpmath.mpf(1) / 6)
+
+        start = float(s0)
+        s_values = [float(r + f * (s0 - r)) for f in
+                    (F(3, 4), F(1, 2), F(1, 4), F(1, 10), F(1, 100), F(1, 10 ** 4), F(1, 10 ** 9))]
+        refs = [mpmath.quad(integrand, [_mp(F(start) - r), _mp(F(s) - r)]) for s in s_values]
+        got = Line(q0, p).times(s_values, start=start)
+        for g, ref in zip(got, refs):
+            assert abs(g - ref) <= 1e-13 * abs(ref), (k, q0, p, g, ref)
+        s_got = Line(q0, p).s_at([0.0] + [float(ref) for ref in refs], start)
+        assert s_got[0] == start
+        for g, s in zip(s_got[1:], s_values):
+            assert abs(g - s) <= 1e-13 * abs(s), (k, q0, p, g, s)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_panel_clock_at_the_zero_cubic_against_mpmath(mpmath, monkeypatch, direction):
+    # the rows of `so3g2 flow --p 1,0,-1,0 --q0=-3/2,0,3/2,0` and their
+    # mirror image: Delta = 4 (s -+ 3/2)^4, so t = +-3^(5/6) ((3/2)^(1/3)
+    # - (3/2 - |s|)^(1/3)); the expanded quartic cancels next to the root
+    from so3g2 import flow
+
+    q0 = BinaryForm(3, [F(-3, 2), 0, F(3, 2), 0])
+    p = BinaryForm(3, [direction, 0, -direction, 0])
+    s_values = [direction * 1.5 * (i + 1) / 80 for i in range(79)] + [direction * 1.5]
+    third = mpmath.mpf(1) / 3
+    refs = [direction * 3 ** (5 * third / 2) * (mpmath.mpf(1.5) ** third - (1.5 - _mp(abs(s))) ** third)
+            for s in s_values]
+    got = Line(q0, p).times(s_values)
+    assert max(abs(g - ref) / abs(ref) for g, ref in zip(got, refs)) <= 1e-13
+    # the inverse up to the last row short of the root; the root itself
+    # and any time beyond it are past the boundary
+    s_got = Line(q0, p).s_at([0.0] + [float(ref) for ref in refs[:-1]], 0.0)
+    assert max(abs(g - s) / abs(s) for g, s in zip(s_got[1:], s_values)) <= 1e-13
+    for reach in (1.0, 1.5):
+        with pytest.raises(ValueError, match="boundary root"):
+            Line(q0, p).s_at([0.0, reach * float(refs[-1])], 0.0)
+    # negative control: without the conditioning test the panels next to
+    # the root but more than 4 half-widths off it take rounded values
+    monkeypatch.setattr(flow, "_PANEL_CONDITION", math.inf)
+    got = Line(q0, p).times(s_values)
+    assert max(abs(g - ref) / abs(ref) for g, ref in zip(got, refs)) > 1e-13
+
+
+def test_time_grid_past_the_first_root_raises():
+    p = BinaryForm(3, [0.3, -0.5, 0.7, -0.5])
+    line = Line(Q0.to_float(), p)
+    r = min(r for r, _ in line.roots if r > 0)
+    t_r = line.time(0.0, r)
+    traj = integrate_time_grid(p, Q0.to_float(), 0.0, np.linspace(0.0, 0.999 * t_r, 61))
+    assert 0 < r - traj.states[-1].s < 1e-3
+    for reach in (1.0, 1.5):
+        with pytest.raises(ValueError, match="boundary root"):
+            integrate_time_grid(p, Q0.to_float(), 0.0, np.linspace(0.0, reach * t_r, 61))
+
+
+def test_time_grid_needs_neither_solve_ivp_nor_exact_roots(monkeypatch):
+    from so3g2 import flow
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("not to be called")
+
+    p = BinaryForm(3, [0.3, -0.5, 0.7, -0.5])
+    tg = np.linspace(0.0, 0.06, 61)
+    with monkeypatch.context() as patch:
+        patch.setattr(flow._sciint, "solve_ivp", refuse)
+        patch.setattr(flow, "_poly_real_roots", refuse)
+        traj = integrate_time_grid(p, Q0.to_float(), 0.0, tg)
+    assert [st.t for st in traj.states] == tg.tolist() and traj.states[0].s == 0.0
+    for st in traj.states[1:]:
+        assert abs(time_integral(Q0.to_float(), p, 0.0, st.s) - st.t) <= 1e-14 * st.t
 
 
 def test_oracle_stops_short_of_a_boundary_inside_t_span():
