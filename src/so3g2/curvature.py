@@ -41,11 +41,14 @@ class TCoords:
     @staticmethod
     def from_lambda(lam: BinaryForm) -> "TCoords":
         l1, l2, l3, l4 = lam.coeffs
+        # F(1, 4) keeps exact coefficients exact and acts on a float as
+        # 0.25; on a float array it would make an object array
+        quarter = 0.25 if isinstance(l1, np.ndarray) else F(1, 4)
         return TCoords(
-            F(1, 4) * (l1 - l3),
-            F(1, 4) * (l4 - l2),
-            F(1, 4) * (3 * l1 + l3),
-            F(1, 4) * (l2 + 3 * l4),
+            quarter * (l1 - l3),
+            quarter * (l4 - l2),
+            quarter * (3 * l1 + l3),
+            quarter * (l2 + 3 * l4),
         )
 
 
@@ -129,17 +132,20 @@ def ricci_closed_form(t: TCoords):
     the scalar curvature is s = 6 (5 t1^2 + 5 t2^2 - t3^2 - t4^2); the
     quadratic form in parentheses is the shape-invariant part, the factor
     6 is the frame normalization.
+
+    The coordinates may be arrays of one shape: the results are then
+    (..., 6, 6) and (...), each point equal bit for bit to its own call
+    (squares are products, which Python and numpy round alike).
     """
     t1, t2, t3, t4 = t.t1, t.t2, t.t3, t.t4
     off = -2.0 * (t4 * t1 + 2 * t3 * t4 + t2 * t3)
-    diag = 2.0 * (t4 ** 2 - t3 ** 2 + t3 * t1 - t2 * t4)
-    ric0 = np.zeros((DIM, DIM))
-    for pair in ((0, 1), (2, 3), (4, 5)):
-        i, j = pair
-        ric0[i, j] = ric0[j, i] = off
-        ric0[i, i] = diag
-        ric0[j, j] = -diag
-    s = 6.0 * (5 * t1 ** 2 + 5 * t2 ** 2 - t3 ** 2 - t4 ** 2)
+    diag = 2.0 * (t4 * t4 - t3 * t3 + t3 * t1 - t2 * t4)
+    ric0 = np.zeros(np.shape(off) + (DIM, DIM))
+    for i, j in ((0, 1), (2, 3), (4, 5)):
+        ric0[..., i, j] = ric0[..., j, i] = off
+        ric0[..., i, i] = diag
+        ric0[..., j, j] = -diag
+    s = 6.0 * (5 * (t1 * t1) + 5 * (t2 * t2) - t3 * t3 - t4 * t4)
     return ric0, s
 
 

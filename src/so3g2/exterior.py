@@ -9,10 +9,12 @@ do, so a computation stays exact until a float enters it.
 The linear maps act on coefficient vectors in the order of ``BASIS[k]``,
 the increasing index tuples of Lambda^k (sizes 1, 6, 15, 20, 15, 6, 1):
 each Chevalley-Eilenberg operator (a choice of d on degree one, extended
-as an anti-derivation) builds its matrices d_k: Lambda^k -> Lambda^(k+1)
+as an anti-derivation) builds its maps d_k: Lambda^k -> Lambda^(k+1)
 once, so d, and the d^2 = 0 test that encodes the Jacobi identity, are
-matrix-vector products.  The arrays are float64 for float coefficients
-and object arrays of the exact scalars otherwise.
+products of d_k with the nonzero coefficients of a form.  An operator
+whose coefficients are all floats keeps d_k as a float64 matrix; any
+other keeps it as sparse columns of its Python scalars, and the d^2 test
+of a rational operator runs on its images scaled to Python ints.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from ._exact import is_exact
+from ._exact import is_exact, scale_to_ints
 
 Scalar = Union[int, float, Fraction]
 
@@ -69,6 +71,17 @@ def _contract_wedge(k: int, l: int):
                     key, sign = srt
                     out.append((j - 1, p, q, _POSITION[len(key)][key], -sign if pos % 2 else sign))
     return tuple(np.array(out, dtype=np.intp).reshape(-1, 5).T)
+
+
+@functools.cache
+def _d_fanout(k: int):
+    """d_k by image entry: {(j, Q): [(p, row, sign), ...]} over the rows
+    of _contract_wedge(k, 2), keyed by the 0-based j and the BASIS[2]
+    tuple Q of the coefficient of de^(j+1) each row reads."""
+    out = {}
+    for j, p, q, row, sign in zip(*(a.tolist() for a in _contract_wedge(k, 2))):
+        out.setdefault((j, BASIS[2][q]), []).append((p, row, sign))
+    return out
 
 
 class KForm:
@@ -303,7 +316,10 @@ class CEOperator:
             if im.degree != 2:
                 raise ValueError("each image of d must have degree 2")
         object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "_floats", all(
+            isinstance(c, float) for im in self.images for c in im.coeffs.values()))
         object.__setattr__(self, "_d_matrices", {})
+        object.__setattr__(self, "_d_columns", {})
 
     def d1(self, i: int) -> KForm:
         """Image of e^i, i in 1..6."""
@@ -312,21 +328,45 @@ class CEOperator:
     def d_matrix(self, k: int) -> np.ndarray:
         """d_k: Lambda^k -> Lambda^(k+1) in BASIS order, built on first use.
 
-        float64 when every image coefficient is a float, otherwise an
-        object array whose entries are sums of image coefficients.
+        float64 when every image coefficient is a float; otherwise an
+        object array filled from the sparse columns of d_k, whose entries
+        are sums of image coefficients.
         """
         m = self._d_matrices.get(k)
         if m is None:
-            floats = all(isinstance(c, float) for im in self.images for c in im.coeffs.values())
-            dtype = float if floats else object
-            images = np.stack([im.to_vector(dtype) for im in self.images], axis=1)
-            # d e^P = sum_j (e_j -| e^P) ^ de^j, the images being 2-forms
-            j, p, q, row, sign = _contract_wedge(k, 2)
-            keep = (images != 0)[q, j]
-            m = np.zeros(len(BASIS[k + 1]) * len(BASIS[k]), dtype)
-            np.add.at(m, row[keep] * len(BASIS[k]) + p[keep], sign[keep] * images[q[keep], j[keep]])
-            m = self._d_matrices[k] = m.reshape(len(BASIS[k + 1]), len(BASIS[k]))
+            shape = (len(BASIS[k + 1]), len(BASIS[k]))
+            if self._floats:
+                images = np.stack([im.to_vector(float) for im in self.images], axis=1)
+                # d e^P = sum_j (e_j -| e^P) ^ de^j, the images being 2-forms
+                j, p, q, row, sign = _contract_wedge(k, 2)
+                keep = (images != 0)[q, j]
+                m = np.zeros(shape[0] * shape[1])
+                np.add.at(m, row[keep] * shape[1] + p[keep], sign[keep] * images[q[keep], j[keep]])
+                m = m.reshape(shape)
+            else:
+                m = np.zeros(shape, object)
+                for p, col in enumerate(self._columns(k)):
+                    for row, v in col:
+                        m[row, p] = v
+            self._d_matrices[k] = m
         return m
+
+    def _columns(self, k: int) -> tuple:
+        """d_k of an operator with exact coefficients as sparse columns:
+        column p lists the (row, value) pairs of the nonzero entries of
+        d e^P, P = BASIS[k][p], built on first use."""
+        cols = self._d_columns.get(k)
+        if cols is None:
+            fanout = _d_fanout(k)
+            acc = [{} for _ in BASIS[k]]
+            # j ascending: an entry adds its terms in the order of _contract_wedge
+            for j, im in enumerate(self.images):
+                for key, c in im.coeffs.items():
+                    for p, row, sign in fanout.get((j, key), ()):
+                        acc[p][row] = acc[p].get(row, 0) + sign * c
+            cols = self._d_columns[k] = tuple(
+                tuple((row, v) for row, v in col.items() if v != 0) for col in acc)
+        return cols
 
     def to_float(self) -> "CEOperator":
         return CEOperator(tuple(im.to_float() for im in self.images))
@@ -344,29 +384,59 @@ def apply_d(d: CEOperator, a: KForm) -> KForm:
 
     d(e^{j1...jk}) = sum_p (-1)^(p-1) de^{jp} ^ e^{j1...^jp...jk};
     degree-0 constants map to 0.  One product of d_k with the nonzero
-    coefficients of a.
+    coefficients of a: the float64 matrix of a float operator, else the
+    sparse columns of d_k, summed in Python scalars.
     """
     if a.degree == DIM:
         return KForm.zero(DIM)  # no forms above the top degree
-    m = d.d_matrix(a.degree)
-    cols, vals = a.nonzero(m.dtype)
-    block = m[:, cols]
-    if m.dtype == object:
-        # exact: skip the structural zeros of d_k, so that 0 * x does not
-        # turn an int sum into a Fraction or an exact sum into a float
-        terms = np.zeros(block.shape, object)
-        np.multiply(block, vals, out=terms, where=block != 0)
-        sums = terms.sum(axis=1)
-        for n, v in enumerate(sums.tolist()):
-            if hasattr(v, "expand"):  # symbolic (sympy): an identically zero sum becomes 0
-                sums[n] = v.expand()
-        return KForm.from_vector(a.degree + 1, sums)
-    return KForm.from_vector(a.degree + 1, block @ vals)
+    if d._floats:
+        m = d.d_matrix(a.degree)
+        cols, vals = a.nonzero(m.dtype)
+        return KForm.from_vector(a.degree + 1, m[:, cols] @ vals)
+    # exact: the columns hold no structural zeros of d_k, so 0 * x does
+    # not turn an int sum into a Fraction or an exact sum into a float
+    columns, pos = d._columns(a.degree), _POSITION[a.degree]
+    sums: dict[int, Scalar] = {}
+    for key, c in a.coeffs.items():
+        for row, v in columns[pos[key]]:
+            sums[row] = sums.get(row, 0) + v * c
+    out = {}
+    for row in sorted(sums):
+        v = sums[row]
+        if hasattr(v, "expand"):  # symbolic (sympy): an identically zero sum becomes 0
+            v = v.expand()
+        if v != 0:
+            out[BASIS[a.degree + 1][row]] = v
+    res = KForm.zero(a.degree + 1)
+    res.coeffs = out
+    return res
 
 
 def d_squared_residual(d: CEOperator) -> Scalar:
     """Max absolute coefficient of d(d(e^i)) over i; zero iff Jacobi holds
-    (for sympy coefficients: 0 when it holds identically)."""
+    (for sympy coefficients: 0 when it holds identically).
+
+    d^2 is homogeneous of degree 2 in the images, so an operator with
+    int and Fraction coefficients, at least one a Fraction, is decided on
+    its images times s, the lcm of their denominators, in Python ints; its
+    nonzero max returns as the Fraction max / s^2.
+    """
+    values = [c for im in d.images for c in im.coeffs.values()]
+    types = set(map(type, values))
+    if Fraction in types and types <= {int, Fraction}:
+        ints, s = scale_to_ints(values)
+        it = iter(ints)
+        scaled = []
+        for im in d.images:
+            f = KForm.zero(2)
+            f.coeffs = dict(zip(im.coeffs, it))
+            scaled.append(f)
+        worst = _d_squared_max(CEOperator(tuple(scaled)))
+        return Fraction(worst, s * s) if worst else 0
+    return _d_squared_max(d)
+
+
+def _d_squared_max(d: CEOperator) -> Scalar:
     worst: Scalar = 0
     for i in range(1, DIM + 1):
         dd = apply_d(d, d.d1(i))

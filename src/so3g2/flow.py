@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -197,7 +198,10 @@ def _factor_roots(factor) -> list[float]:
     chain = [scale_to_ints(p)[0] for p in chain]
     f = chain[0]
     lead = abs(f[0])
-    bound = float(2 ** ((lead + max(map(abs, f[1:]))) // lead).bit_length())
+    exponent = ((lead + max(map(abs, f[1:]))) // lead).bit_length()
+    if exponent >= sys.float_info.max_exp:
+        raise ValueError(f"real roots bounded only by 2^{exponent}, beyond the float range")
+    bound = float(2 ** exponent)
 
     def variations(x):
         signs = [v for v in (_sign_at(p, x) for p in chain) if v]

@@ -274,6 +274,16 @@ def test_endpoints_with_a_cube_beyond_the_float_range_is_a_usage_error(capsys):
         "error: the cube's coefficient lambda is beyond the float range"]
 
 
+def test_flow_with_roots_beyond_the_float_range_is_a_usage_error(capsys):
+    # the line's discriminant has its double root at s = -10^400
+    code = main(["flow", "--p", "1,0,-1,0", "--q0", f"{10 ** 400},0,-1,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: real roots bounded only by 2^1329, beyond the float range"]
+
+
 def test_contract_command(capsys):
     code, out = run_cli(capsys, "contract", "--a", "1", "--b", "0", "--c", "0",
                         "--lam", "1,2,3,4", "--planes")

@@ -1,10 +1,13 @@
 import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from conftest import random_float_point
+from so3g2 import verify
 from so3g2.binaryform import BinaryForm
 from so3g2.curvature import (
     TCoords,
@@ -17,7 +20,7 @@ from so3g2.curvature import (
 )
 from so3g2.exterior import CEOperator, KForm
 from so3g2.variety import ModelPoint, act_on_point, structure_constants
-from so3g2.verify import EINSTEIN_REPRESENTATIVES, _so2, orbit_invariants
+from so3g2.verify import EINSTEIN_REPRESENTATIVES, _einstein_grid, _so2, orbit_invariants
 
 
 def test_tcoords_bijection(rng):
@@ -107,6 +110,46 @@ def test_closed_form_einstein_slice():
     assert s == 6.0
     ric0, s = ricci_closed_form(TCoords(0.0, 0.0, 0.0, 0.0))
     assert np.max(np.abs(ric0)) == 0.0 and s == 0.0
+
+
+def _assert_batched_matches_each_point(points, batch):
+    ric0, s = ricci_closed_form(batch)
+    assert ric0.shape == s.shape + (6, 6)
+    for idx, t in points:
+        want_ric0, want_s = ricci_closed_form(t)
+        assert np.array_equal(ric0[idx], want_ric0) and s[idx] == want_s, (idx, t)
+
+
+def test_batched_closed_form_is_each_point_on_the_einstein_grid():
+    # the grid as suite_einstein built it point by point, against the arrays
+    n = 22
+    angles = [math.pi * i / n for i in range(n)]
+    points = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        a, b, c = angles[i], angles[j], angles[k]
+        m = ModelPoint.make([math.cos(a), math.sin(a)],
+                            [math.cos(b), math.sin(b) * math.cos(c), math.sin(b) * math.sin(c)])
+        points.append(((i, j, k), model_tcoords(m)))
+    _assert_batched_matches_each_point(points, model_tcoords(_einstein_grid(n)))
+
+
+def test_batched_closed_form_is_each_point_on_random_tcoords():
+    rng = random.Random(27)
+    coords = np.array([[rng.uniform(-3.0, 3.0) for _ in range(4)] for _ in range(500)])
+    points = [(n, TCoords(*row)) for n, row in enumerate(coords.tolist())]
+    _assert_batched_matches_each_point(points, TCoords(*coords.T))
+
+
+def test_einstein_grid_hits_are_checked_against_the_known_orbits(monkeypatch):
+    # the 4-point angle grid passes through the orbit of ((1, 0), (1, 0, -1))
+    res = verify.suite_einstein(n_samples=64)
+    assert res.passed and "0 false positives" in res.detail
+    assert float(res.detail.split("nearest ")[1].split(",")[0]) <= verify.EINSTEIN_TOL
+    # negative control: invariants that never match make every hit a false positive
+    calls = itertools.count()
+    monkeypatch.setattr(verify, "orbit_invariants", lambda t: (next(calls), 0.0, 0.0))
+    res = verify.suite_einstein(n_samples=64)
+    assert not res.passed and ", 0 false positives" not in res.detail
 
 
 def test_first_bianchi(rng):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from so3g2 import verify
+from so3g2 import exterior, verify
 from so3g2.binaryform import BinaryForm
 from so3g2.exterior import (
     BASIS,
@@ -288,6 +288,79 @@ def test_d_matrix_dtype_follows_the_images():
         assert (got - dd.to_float()).max_abs() == 0
 
 
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_exact_apply_d_matches_the_loop_with_its_types(kind):
+    rng = random.Random(f"exact apply_d {kind}")
+    want = int if kind == "int" else F
+    for _ in range(12):
+        d = CEOperator(tuple(_form(rng, 2, kind, 0.3) for _ in range(DIM)))
+        for degree in range(DIM + 1):
+            a = _form(rng, degree, kind)
+            got = apply_d(d, a)
+            assert got == ref_apply_d(d, a)
+            assert all(type(v) is want for v in got.coeffs.values())
+            # an exact operator on a float form
+            a = a.to_float()
+            got = apply_d(d, a)
+            scale = max(1.0, max(float(im.max_abs()) for im in d.images)) * max(1.0, a.max_abs())
+            _assert_matches(got, ref_apply_d(d, a), scale, same_types=True)
+            assert all(type(v) is float for v in got.coeffs.values())
+
+
+def test_exact_apply_d_on_a_polynomial_ring_matches_the_loop():
+    sp = pytest.importorskip("sympy")
+    _, *gens = sp.ring("x1 x2 y1 y2 y3", sp.QQ)
+    x1, x2, y1, y2, y3 = gens
+    d = structure_constants(ModelPoint.make([x1, x2], [y1, y2, y3]))
+    rng = random.Random("ring apply_d")
+    for degree in range(DIM + 1):
+        a = KForm(degree, {idx: rng.randint(-3, 3) * rng.choice(gens) for idx in BASIS[degree]})
+        got = apply_d(d, a)
+        assert got == ref_apply_d(d, a)
+        assert all(type(v) is type(x1) for v in got.coeffs.values())
+
+
+def test_exact_apply_d_and_d_squared_residual_use_no_numpy(monkeypatch):
+    # the index tables of d_k are built with numpy once per degree
+    warm = structure_constants(ModelPoint.make([1, 0], [1, 0, -1]))
+    for degree in range(DIM):
+        apply_d(warm, KForm(degree, {BASIS[degree][0]: 1}))
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used")
+
+    monkeypatch.setattr(exterior, "np", NoNumpy())
+    t = TorsionData(BinaryForm(3, [F(1), F(2), F(-3), F(5)]), BinaryForm(1, [F(1), F(2)]))
+    d = kappa(t)
+    assert d_squared_residual(d) != 0
+    for degree in range(DIM + 1):
+        apply_d(d, KForm(degree, {idx: F(n + 1, 3) for n, idx in enumerate(BASIS[degree])}))
+
+
+def test_d_squared_residual_of_fraction_operators_matches_the_loop():
+    rng = random.Random("d2 frac")
+    for _ in range(100):
+        # all coefficients Fractions: the value and the type of the loop
+        if rng.random() < 0.5:
+            d = CEOperator(tuple(_form(rng, 2, "frac", 0.3) for _ in range(DIM)))
+        else:
+            point = structure_constants(verify._random_point_exact(rng))
+            d = CEOperator(tuple(KForm(2, {k: F(v) for k, v in im.coeffs.items()})
+                                 for im in point.images))
+        res, ref = d_squared_residual(d), ref_d_squared_residual(d)
+        assert res == ref and type(res) is type(ref)
+    # the perturbed jacobi suite inputs: int images and one Fraction
+    rng = random.Random(0)
+    for _ in range(1000):
+        d = structure_constants(verify._random_point_exact(rng))
+        imgs = list(d.images)
+        imgs[0] = imgs[0] + KForm(2, {(3, 5): F(1, 7)})
+        d = CEOperator(tuple(imgs))
+        res, ref = d_squared_residual(d), ref_d_squared_residual(d)
+        assert res == ref and type(res) is type(ref)
+
+
 def test_d_squared_residual_matches_loop_on_jacobi_suite_inputs():
     # the jacobi suite's draws at its default seed: 1000 variety points,
     # then 1000 rank-two torsion data
@@ -306,6 +379,11 @@ def test_d_squared_residual_matches_loop_on_jacobi_suite_inputs():
         d = kappa(t)
         res = d_squared_residual(d)
         assert res == ref_d_squared_residual(d) and res != 0
+        # the loop's max has the type of whichever coefficient attains it
+        # (an int in 16 of these with a Fraction image); the scaled
+        # residual is a Fraction whenever an image coefficient is one
+        fractions = any(type(c) is F for im in d.images for c in im.coeffs.values())
+        assert type(res) is (F if fractions else int)
 
 
 def test_d_squared_residual_on_plain_sympy_symbols():
