@@ -46,11 +46,22 @@ def _integer_copy(m):
 
 def scale_to_ints(values):
     """(ints, s): the values times s, the lcm of their exact denominators,
-    as Python ints."""
-    # int(): a Fraction made from a numpy int keeps numpy parts
-    ratios = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, values)]
+    as Python ints.
+
+    ints and Fractions are read as they are; any other value (a float, a
+    numpy scalar) is made a Fraction first.
+    """
+    ratios = [_ratio(v) for v in values]
     s = math.lcm(*(den for _, den in ratios))
     return [num * (s // den) for num, den in ratios], s
+
+
+def _ratio(v):
+    if isinstance(v, (int, Fraction)):
+        return v.numerator, v.denominator
+    f = Fraction(v)
+    # int(): a Fraction made from a numpy int keeps numpy parts
+    return int(f.numerator), int(f.denominator)
 
 
 def mat_det(m):

@@ -104,7 +104,10 @@ class BinaryForm:
         return out
 
     def to_float(self) -> "BinaryForm":
-        return BinaryForm(self.degree, [float(c) for c in self.coeffs])
+        try:
+            return BinaryForm(self.degree, [float(c) for c in self.coeffs])
+        except OverflowError:
+            raise ValueError("a binary form coefficient is beyond the float range") from None
 
     def norm(self) -> float:
         return math.sqrt(sum(float(c) ** 2 for c in self.coeffs))

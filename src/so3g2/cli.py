@@ -91,15 +91,25 @@ def positive_int(text: str) -> int:
 
 
 def _emit(data, output=None, fmt="json"):
-    """Write a JSON payload, or its rows as CSV when fmt is "csv"."""
-    with open(output, "w", newline="") if output else contextlib.nullcontext(sys.stdout) as fh:
-        if fmt == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(data["columns"])
-            writer.writerows(data["rows"])
-        else:
-            json.dump(data, fh, indent=2, default=_json_default)
-            fh.write("\n")
+    """Write a JSON payload, or its rows as CSV when fmt is "csv".
+
+    Exact values print with all their digits: CPython's limit on the
+    digits of an int -> str conversion is lifted while the payload is
+    written (a determinant of a 400-digit point has about 4800).
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        with open(output, "w", newline="") if output else contextlib.nullcontext(sys.stdout) as fh:
+            if fmt == "csv":
+                writer = csv.writer(fh)
+                writer.writerow(data["columns"])
+                writer.writerows(data["rows"])
+            else:
+                json.dump(data, fh, indent=2, default=_json_default)
+                fh.write("\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
     if output:
         print(f"wrote {Path(output)}")
 

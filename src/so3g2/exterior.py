@@ -203,7 +203,10 @@ class KForm:
 
     def to_float(self) -> "KForm":
         res = KForm.zero(self.degree)
-        res.coeffs = {k: float(v) for k, v in self.coeffs.items()}
+        try:
+            res.coeffs = {k: float(v) for k, v in self.coeffs.items()}
+        except OverflowError:
+            raise ValueError("a form coefficient is beyond the float range") from None
         return res
 
     def prune(self, tol: float) -> "KForm":

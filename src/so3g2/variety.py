@@ -84,42 +84,48 @@ def torsion_blocks(t: TorsionData):
                  for v in (a, b, c, q, p, r))
 
 
+def _kappa_row(u, v, blocks, sgn):
+    # the entries of u[0]v[0], u[0]v[1], u[1]v[0], u[1]v[1]: increasing keys
+    return tuple(((u[i], v[j]), block, sgn)
+                 for (i, j), block in zip(((0, 0), (0, 1), (1, 0), (1, 1)), blocks))
+
+
+#: one row per image de^i: (key, index into torsion_blocks, sign) entries
+_KAPPA_TABLE = (
+    _kappa_row((3, 4), (5, 6), (0, 2, 2, 1), 1),    # de1 = a e35 + c(e36+e45) + b e46
+    _kappa_row((3, 4), (5, 6), (3, 5, 5, 4), 1),    # de2 = q e35 + r(e36+e45) + p e46
+    _kappa_row((1, 2), (5, 6), (0, 2, 2, 1), -1),   # de3 = -(a e15 + c(e16+e25) + b e26)
+    _kappa_row((1, 2), (5, 6), (3, 5, 5, 4), -1),   # de4 = -(q e15 + r(e16+e25) + p e26)
+    _kappa_row((1, 2), (3, 4), (0, 2, 2, 1), 1),    # de5 = a e13 + c(e14+e23) + b e24
+    _kappa_row((1, 2), (3, 4), (3, 5, 5, 4), 1),    # de6 = q e13 + r(e14+e23) + p e24
+)
+
+
 def kappa(t: TorsionData) -> CEOperator:
     """The invariant torsion map as a degree-one operator e^i -> Lambda^2.
 
     The images of e^1, e^2 determine the rest by replacing the pair
     (1, 2) with (3, 4) and (5, 6) in the rotation-equivariant pattern of
-    the model structure constants.
+    the model structure constants: with the blocks (a, b, c, q, p, r) of
+    ``torsion_blocks``, de^1 = a e35 + c (e36 + e45) + b e46 and
+    de^2 = q e35 + r (e36 + e45) + p e46; de^3, de^4 are minus the same
+    on (1, 2), (5, 6), and de^5, de^6 the same on (1, 2), (3, 4).  The
+    images are filled from ``_KAPPA_TABLE``, whose keys are already
+    increasing, so no key is sorted or checked; zero entries are
+    dropped, as ``KForm`` does.
     """
-    a, b, c, q, p, r = torsion_blocks(t)
-
-    def odd(u, v, w, sgn):
-        # pattern a e^{vw(1)} + c (e^{vw(2)} + e^{vw(3)}) + b e^{vw(4)} with signs
-        return KForm(2, {
-            (u[0], v[0]): sgn * a,
-            (u[0], v[1]): sgn * c,
-            (u[1], v[0]): sgn * c,
-            (u[1], v[1]): sgn * b,
-        })
-
-    def even(u, v, sgn):
-        return KForm(2, {
-            (u[0], v[0]): sgn * q,
-            (u[0], v[1]): sgn * r,
-            (u[1], v[0]): sgn * r,
-            (u[1], v[1]): sgn * p,
-        })
-
-    p12, p34, p56 = (1, 2), (3, 4), (5, 6)
-    images = (
-        odd(p34, p56, 1, 1),   # de1 = a e35 + c(e36+e45) + b e46
-        even(p34, p56, 1),     # de2 = q e35 + r(e36+e45) + p e46
-        odd(p12, p56, 1, -1),  # de3 = -(a e15 + c(e16+e25) + b e26)
-        even(p12, p56, -1),    # de4
-        odd(p12, p34, 1, 1),   # de5 = a e13 + c(e14+e23) + b e24
-        even(p12, p34, 1),     # de6
-    )
-    return CEOperator(images)
+    blocks = torsion_blocks(t)
+    images = []
+    for row in _KAPPA_TABLE:
+        coeffs = {}
+        for key, i, sgn in row:
+            v = blocks[i]
+            if v != 0:
+                coeffs[key] = v if sgn == 1 else -v
+        im = KForm.zero(2)
+        im.coeffs = coeffs
+        images.append(im)
+    return CEOperator(tuple(images))
 
 
 def structure_constants(m: ModelPoint) -> CEOperator:
@@ -281,9 +287,7 @@ def is_totally_skew(tau: dict) -> bool:
 _SNAP_TOL = 1e-12
 
 
-def _snap(value, scale: float):
-    if is_exact((value,)):
-        return value
+def _snap(value: float, scale: float):
     if abs(value) < _SNAP_TOL * max(1.0, scale):
         warnings.warn("snapping a near-zero classification invariant to 0")
         return 0
@@ -296,8 +300,12 @@ def classify(m: ModelPoint) -> LieAlgebraClass:
         raise ValueError("cannot classify the zero point")
     delta = discriminant(m.y)
     res = resultant(m.x, m.y)
-    delta = _snap(delta, m.y.norm() ** 2)
-    res = _snap(res, (m.x.norm() ** 2) * m.y.norm() or 1.0)
+    # a float invariant snaps to 0 relative to the size of the point; an
+    # exact one is decided as it is
+    if not is_exact((delta,)):
+        delta = _snap(delta, m.y.norm() ** 2)
+    if not is_exact((res,)):
+        res = _snap(res, (m.x.norm() ** 2) * m.y.norm() or 1.0)
     if delta == 0 and res == 0:
         return LieAlgebraClass.Nilpotent
     if delta == 0:

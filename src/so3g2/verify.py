@@ -119,8 +119,8 @@ class SuiteResult:
 
 def _random_point_exact(rng, span=6) -> ModelPoint:
     while True:
-        x = [F(rng.randint(-span, span)) for _ in range(2)]
-        y = [F(rng.randint(-span, span)) for _ in range(3)]
+        x = [rng.randint(-span, span) for _ in range(2)]
+        y = [rng.randint(-span, span) for _ in range(3)]
         if any(v != 0 for v in x) and any(v != 0 for v in y):
             return ModelPoint.make(x, y)
 
@@ -153,8 +153,8 @@ def suite_jacobi(seed: int = 0, n_samples: int = 1000, perturb: bool = False) ->
     off_ok = 0
     tried = 0
     while tried < n_samples:
-        lam = BinaryForm(3, [F(rng.randint(-6, 6)) for _ in range(4)])
-        mu = BinaryForm(1, [F(rng.randint(-6, 6)) for _ in range(2)])
+        lam = BinaryForm(3, [rng.randint(-6, 6) for _ in range(4)])
+        mu = BinaryForm(1, [rng.randint(-6, 6) for _ in range(2)])
         t = TorsionData(lam, mu)
         if membership_rank(t) != 2:
             continue
@@ -229,7 +229,7 @@ def suite_classification(seed: int = 2, n_samples: int = 200) -> SuiteResult:
     for _ in range(n_samples):
         m = _random_point_exact(rng)
         while True:
-            g = GL2(*[F(rng.randint(-3, 3)) for _ in range(4)])
+            g = GL2(*[rng.randint(-3, 3) for _ in range(4)])
             if g.det() != 0:
                 break
         if classify(m) != classify(act_on_point(g, m)):

@@ -284,6 +284,45 @@ def test_flow_with_roots_beyond_the_float_range_is_a_usage_error(capsys):
         "error: real roots bounded only by 2^1329, beyond the float range"]
 
 
+BEYOND_FLOAT = str(10 ** 400)
+
+
+def test_curvature_beyond_the_float_range_is_a_usage_error(capsys):
+    code = main(["curvature", "--x", f"{BEYOND_FLOAT},0", "--y", "1,0,1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: a form coefficient is beyond the float range"]
+
+
+def test_flow_with_p_beyond_the_float_range_is_a_usage_error(capsys):
+    code = main(["flow", "--p", f"{BEYOND_FLOAT},0,-{BEYOND_FLOAT},0", "--q0", "1,0,-1,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: a binary form coefficient is beyond the float range"]
+
+
+def test_classify_beyond_the_float_range_is_exact(capsys):
+    # no float norm is taken of exact input, and det F prints all its 4805 digits
+    code = main(["classify", "--x", f"{BEYOND_FLOAT},0", "--y", "1,0,1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        data = json.loads(captured.out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    b = 10 ** 400
+    assert data == {
+        "class": "SO3C", "label": "so(3,C)", "delta": -4, "resultant": b * b,
+        "detKilling": (4 * -4 * b ** 4) ** 3, "torsion": [b, 0, b, 0],
+        "half_flat": True, "hermitian": True}
+
+
 def test_contract_command(capsys):
     code, out = run_cli(capsys, "contract", "--a", "1", "--b", "0", "--c", "0",
                         "--lam", "1,2,3,4", "--planes")

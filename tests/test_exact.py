@@ -2,13 +2,14 @@
 elimination, the scalar policy, and symbolic proofs of the two exact
 identities."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from so3g2 import variety, verify
-from so3g2._exact import is_exact, mat_det, mat_rank, nullspace, sym_signature
+from so3g2._exact import is_exact, mat_det, mat_rank, nullspace, scale_to_ints, sym_signature
 from so3g2.binaryform import GL2, BinaryForm, discriminant, q_map, resultant, split_b1_b2
 from so3g2.curvature import TCoords
 from so3g2.exterior import apply_d
@@ -179,6 +180,32 @@ def test_scalar_policy():
     assert not is_exact([1, 0.5])
     np = pytest.importorskip("numpy")
     assert not is_exact([Fraction(1), np.float64(2.0)])
+
+
+def ref_scale_to_ints(values):
+    """scale_to_ints as first written: every value through Fraction."""
+    ratios = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, values)]
+    s = math.lcm(*(den for _, den in ratios))
+    return [num * (s // den) for num, den in ratios], s
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float", "np.int64", "np.float64", "mixed"])
+def test_scale_to_ints_matches_the_fraction_route(kind):
+    np = pytest.importorskip("numpy")
+    rng = random.Random(3)
+    draw = {
+        "int": lambda: rng.randint(-10 ** 30, 10 ** 30),
+        "fraction": lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 60)),
+        "float": lambda: rng.uniform(-3.0, 3.0),
+        "np.int64": lambda: np.int64(rng.randint(-2 ** 40, 2 ** 40)),
+        "np.float64": lambda: np.float64(rng.uniform(-3.0, 3.0)),
+    }
+    kinds = list(draw) if kind == "mixed" else [kind]
+    for _ in range(50):
+        values = [draw[rng.choice(kinds)]() for _ in range(8)]
+        ints, s = scale_to_ints(values)
+        assert (ints, s) == ref_scale_to_ints(values)
+        assert all(type(v) is int for v in ints + [s])
 
 
 def test_structure_constants_int_at_integer_points():

@@ -1,4 +1,5 @@
 import math
+import random
 import warnings
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import random_exact_point
 from so3g2 import verify
+from so3g2._exact import mat_det, mat_rank, sym_signature
 from so3g2.binaryform import BinaryForm, GL2, discriminant, resultant, split_b1_b2
 from so3g2.exterior import CEOperator, KForm, apply_d, d_squared_residual, wedge
 from so3g2.flow import flow_torsion_cubic
@@ -23,6 +25,7 @@ from so3g2.variety import (
     is_totally_skew,
     kappa,
     killing_det,
+    killing_form,
     killing_rank,
     killing_signature,
     membership_rank,
@@ -30,6 +33,7 @@ from so3g2.variety import (
     structure_constants,
     su3_components,
     tau_lambda,
+    torsion_blocks,
     torsion_of,
 )
 
@@ -215,6 +219,106 @@ def test_kappa_round_trip_with_structure_constants(rng):
         k = kappa(TorsionData(cubic, lin))
         d = structure_constants(m)
         assert all(k.d1(i) == d.d1(i) for i in range(1, 7))
+
+
+def ref_kappa(t):
+    """kappa as first written: KForm(2, {...}) of sgn * block products."""
+    a, b, c, q, p, r = torsion_blocks(t)
+
+    def odd(u, v, sgn):
+        return KForm(2, {(u[0], v[0]): sgn * a, (u[0], v[1]): sgn * c,
+                         (u[1], v[0]): sgn * c, (u[1], v[1]): sgn * b})
+
+    def even(u, v, sgn):
+        return KForm(2, {(u[0], v[0]): sgn * q, (u[0], v[1]): sgn * r,
+                         (u[1], v[0]): sgn * r, (u[1], v[1]): sgn * p})
+
+    p12, p34, p56 = (1, 2), (3, 4), (5, 6)
+    return (odd(p34, p56, 1), even(p34, p56, 1), odd(p12, p56, -1),
+            even(p12, p56, -1), odd(p12, p34, 1), even(p12, p34, 1))
+
+
+def _kappa_inputs(kind):
+    rng = random.Random(29)
+    draw = {
+        "int": lambda: rng.randint(-6, 6),
+        "fraction": lambda: F(rng.randint(-6, 6), rng.randint(1, 6)),
+        "float": lambda: rng.choice([0.0, rng.uniform(-2.0, 2.0)]),
+    }
+    if kind in draw:
+        return [TorsionData(BinaryForm(3, [draw[kind]() for _ in range(4)]),
+                            BinaryForm(1, [draw[kind]() for _ in range(2)]))
+                for _ in range(200)]
+    if kind == "sympy":
+        sp = pytest.importorskip("sympy")
+        l1, l2, l3, l4, m1, m2 = sp.symbols("l1:5 m1:3")
+        return [TorsionData(BinaryForm(3, [l1, l2, l3, l4]), BinaryForm(1, [m1, m2])),
+                TorsionData(BinaryForm(3, [0, l2, 3 * l2, l4]), BinaryForm(1, [m1, 0]))]
+    if kind == "nan":
+        return [TorsionData(BinaryForm(3, [math.nan, 0.0, 1.0, -0.0]), BinaryForm(1, [0.0, 2.5]))]
+    # the five table representatives, whose blocks are partly 0, as ints and as Fractions
+    return [TorsionData(*split_b1_b2(BinaryForm(1, [conv(v) for v in x]),
+                                     BinaryForm(2, [conv(v) for v in y])))
+            for (x, y), _, _ in verify.TABLE_REPRESENTATIVES for conv in (int, F)]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float", "sympy", "nan", "representatives"])
+def test_kappa_table_matches_its_pattern(kind):
+    # key order, type and value (repr, so NaN compares) of every stored coefficient
+    def entries(images):
+        return [[(key, type(v), repr(v)) for key, v in im.coeffs.items()] for im in images]
+
+    for t in _kappa_inputs(kind):
+        assert entries(kappa(t).images) == entries(ref_kappa(t))
+
+
+def _int_and_fraction_draws(seed, span, frames, n=200):
+    """The first n exact points of a suite's seed as drawn (ints), each with
+    its Fraction copy and, when the suite draws frames, the frame after it."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        m = verify._random_point_exact(rng, span)
+        g = None
+        if frames:
+            while True:
+                g = GL2(*[rng.randint(-3, 3) for _ in range(4)])
+                if g.det() != 0:
+                    break
+        yield m, ModelPoint.make(map(F, m.x.coeffs), map(F, m.y.coeffs)), g
+
+
+def _invariants(m):
+    d = structure_constants(m)
+    b = killing_form(d)
+    return ([[(key, type(v), v) for key, v in im.coeffs.items()] for im in d.images],
+            d_squared_residual(d), mat_det(b), mat_rank(b), sym_signature(b), classify(m))
+
+
+# the seed, span and frame draws of the jacobi, killing and classification suites
+@pytest.mark.parametrize("seed, span, frames", [(0, 6, False), (1, 4, False), (2, 6, True)])
+def test_int_and_fraction_draws_agree(seed, span, frames):
+    # the suites draw ints; their Fraction copies must give the same values
+    for m, m_frac, g in _int_and_fraction_draws(seed, span, frames):
+        assert all(type(v) is int for v in m.x.coeffs + m.y.coeffs)
+        assert _invariants(m) == _invariants(m_frac)
+        if g is not None:
+            g_frac = GL2(*map(F, (g.x, g.y, g.z, g.w)))
+            assert classify(act_on_point(g, m)) == classify(act_on_point(g_frac, m_frac))
+
+
+def test_int_and_fraction_off_variety_draws_agree():
+    # jacobi's rank-two torsion data, drawn after its 1000 points on the variety
+    rng = random.Random(0)
+    for _ in range(1000):
+        verify._random_point_exact(rng)
+    for _ in range(200):
+        lam = [rng.randint(-6, 6) for _ in range(4)]
+        mu = [rng.randint(-6, 6) for _ in range(2)]
+        t = TorsionData(BinaryForm(3, lam), BinaryForm(1, mu))
+        t_frac = TorsionData(BinaryForm(3, [F(v) for v in lam]), BinaryForm(1, [F(v) for v in mu]))
+        assert membership_rank(t) == membership_rank(t_frac)
+        assert kappa(t) == kappa(t_frac)
+        assert d_squared_residual(kappa(t)) == d_squared_residual(kappa(t_frac))
 
 
 def test_tau_lambda_zero():
