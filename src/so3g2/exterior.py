@@ -7,14 +7,16 @@ into the coefficient.  Coefficients are either exact (Python ints or
 do, so a computation stays exact until a float enters it.
 
 The linear maps act on coefficient vectors in the order of ``BASIS[k]``,
-the increasing index tuples of Lambda^k (sizes 1, 6, 15, 20, 15, 6, 1):
-each Chevalley-Eilenberg operator (a choice of d on degree one, extended
-as an anti-derivation) builds its maps d_k: Lambda^k -> Lambda^(k+1)
-once, so d, and the d^2 = 0 test that encodes the Jacobi identity, are
-products of d_k with the nonzero coefficients of a form.  An operator
-whose coefficients are all floats keeps d_k as a float64 matrix; any
-other keeps it as sparse columns of its Python scalars, and the d^2 test
-of a rational operator runs on its images scaled to Python ints.
+the increasing index tuples of Lambda^k (sizes 1, 6, 15, 20, 15, 6, 1).
+A Chevalley-Eilenberg operator is a choice of d on degree one, extended
+as an anti-derivation; d, and the d^2 = 0 test that encodes the Jacobi
+identity, are products of d_k: Lambda^k -> Lambda^(k+1) with the nonzero
+coefficients of a form.  An operator whose coefficients are all floats
+builds d_k once as a float64 matrix.  Any other sums the column of each
+nonzero coefficient in its Python scalars, straight from the images,
+through one static fan-in table per degree (form key, then image key,
+giving the row and the sign); the d^2 test of a rational operator runs
+on its images scaled to Python ints.
 """
 
 from __future__ import annotations
@@ -74,14 +76,15 @@ def _contract_wedge(k: int, l: int):
 
 
 @functools.cache
-def _d_fanout(k: int):
-    """d_k by image entry: {(j, Q): [(p, row, sign), ...]} over the rows
-    of _contract_wedge(k, 2), keyed by the 0-based j and the BASIS[2]
-    tuple Q of the coefficient of de^(j+1) each row reads."""
-    out = {}
+def _d_fanin(k: int):
+    """d_k by form key: {P: ((j, {Q: (row, negate)}), ...)} over P in
+    BASIS[k], one entry per 0-based j with e^(j+1) in P, in increasing j;
+    the coefficient of e^Q in de^(j+1) adds to row `row` of d e^P, negated
+    where `negate`.  Read off _contract_wedge(k, 2)."""
+    out = {key: {} for key in BASIS[k]}
     for j, p, q, row, sign in zip(*(a.tolist() for a in _contract_wedge(k, 2))):
-        out.setdefault((j, BASIS[2][q]), []).append((p, row, sign))
-    return out
+        out[BASIS[k][p]].setdefault(j, {})[BASIS[2][q]] = (row, sign < 0)
+    return {key: tuple(fans.items()) for key, fans in out.items()}
 
 
 class KForm:
@@ -180,7 +183,7 @@ class KForm:
 
     def max_abs(self) -> float:
         """Largest absolute coefficient (0.0 for the zero form)."""
-        return max((abs(c) for c in self.coeffs.values()), default=0)
+        return max(map(abs, self.coeffs.values()), default=0)
 
     def nonzero(self, dtype=object):
         """BASIS[degree] positions of the stored coefficients, and their values."""
@@ -322,7 +325,6 @@ class CEOperator:
         object.__setattr__(self, "_floats", all(
             isinstance(c, float) for im in self.images for c in im.coeffs.values()))
         object.__setattr__(self, "_d_matrices", {})
-        object.__setattr__(self, "_d_columns", {})
 
     def d1(self, i: int) -> KForm:
         """Image of e^i, i in 1..6."""
@@ -332,8 +334,7 @@ class CEOperator:
         """d_k: Lambda^k -> Lambda^(k+1) in BASIS order, built on first use.
 
         float64 when every image coefficient is a float; otherwise an
-        object array filled from the sparse columns of d_k, whose entries
-        are sums of image coefficients.
+        object array whose column p is apply_d of e^P, P = BASIS[k][p].
         """
         m = self._d_matrices.get(k)
         if m is None:
@@ -348,28 +349,12 @@ class CEOperator:
                 m = m.reshape(shape)
             else:
                 m = np.zeros(shape, object)
-                for p, col in enumerate(self._columns(k)):
-                    for row, v in col:
-                        m[row, p] = v
+                for p, key in enumerate(BASIS[k]):
+                    col = apply_d(self, KForm(k, {key: 1}))
+                    for idx, v in col.coeffs.items():
+                        m[_POSITION[k + 1][idx], p] = v
             self._d_matrices[k] = m
         return m
-
-    def _columns(self, k: int) -> tuple:
-        """d_k of an operator with exact coefficients as sparse columns:
-        column p lists the (row, value) pairs of the nonzero entries of
-        d e^P, P = BASIS[k][p], built on first use."""
-        cols = self._d_columns.get(k)
-        if cols is None:
-            fanout = _d_fanout(k)
-            acc = [{} for _ in BASIS[k]]
-            # j ascending: an entry adds its terms in the order of _contract_wedge
-            for j, im in enumerate(self.images):
-                for key, c in im.coeffs.items():
-                    for p, row, sign in fanout.get((j, key), ()):
-                        acc[p][row] = acc[p].get(row, 0) + sign * c
-            cols = self._d_columns[k] = tuple(
-                tuple((row, v) for row, v in col.items() if v != 0) for col in acc)
-        return cols
 
     def to_float(self) -> "CEOperator":
         return CEOperator(tuple(im.to_float() for im in self.images))
@@ -387,8 +372,9 @@ def apply_d(d: CEOperator, a: KForm) -> KForm:
 
     d(e^{j1...jk}) = sum_p (-1)^(p-1) de^{jp} ^ e^{j1...^jp...jk};
     degree-0 constants map to 0.  One product of d_k with the nonzero
-    coefficients of a: the float64 matrix of a float operator, else the
-    sparse columns of d_k, summed in Python scalars.
+    coefficients of a: the float64 matrix of a float operator; for any
+    other, each coefficient's column d e^P is summed in Python scalars
+    from the images through the static fan-in table of d_k.
     """
     if a.degree == DIM:
         return KForm.zero(DIM)  # no forms above the top degree
@@ -396,20 +382,32 @@ def apply_d(d: CEOperator, a: KForm) -> KForm:
         m = d.d_matrix(a.degree)
         cols, vals = a.nonzero(m.dtype)
         return KForm.from_vector(a.degree + 1, m[:, cols] @ vals)
-    # exact: the columns hold no structural zeros of d_k, so 0 * x does
-    # not turn an int sum into a Fraction or an exact sum into a float
-    columns, pos = d._columns(a.degree), _POSITION[a.degree]
+    # exact: a column holds no structural zeros of d_k, so 0 * x does not
+    # turn an int sum into a Fraction or an exact sum into a float
+    images, fanin = [im.coeffs for im in d.images], _d_fanin(a.degree)
     sums: dict[int, Scalar] = {}
     for key, c in a.coeffs.items():
-        for row, v in columns[pos[key]]:
-            sums[row] = sums.get(row, 0) + v * c
+        # the column d e^P, P = key: each entry the sum of its image terms
+        # in increasing j, before it is multiplied by c
+        col: dict[int, Scalar] = {}
+        for j, fan in fanin[key]:
+            for q, v in images[j].items():
+                hit = fan.get(q)
+                if hit is not None:
+                    row, negate = hit
+                    col[row] = col.get(row, 0) - v if negate else col.get(row, 0) + v
+        for row, v in col.items():
+            if v != 0:
+                sums[row] = sums.get(row, 0) + v * c
     out = {}
+    basis = BASIS[a.degree + 1]
     for row in sorted(sums):
         v = sums[row]
-        if hasattr(v, "expand"):  # symbolic (sympy): an identically zero sum becomes 0
+        # symbolic (sympy): an identically zero sum becomes 0
+        if not isinstance(v, (int, Fraction, float)) and hasattr(v, "expand"):
             v = v.expand()
         if v != 0:
-            out[BASIS[a.degree + 1][row]] = v
+            out[basis[row]] = v
     res = KForm.zero(a.degree + 1)
     res.coeffs = out
     return res

@@ -111,50 +111,82 @@ def _strip(coeffs):
     return coeffs[nz:]
 
 
-def _poly_divmod(num, den):
-    """Quotient and remainder of exact polynomial division (den has a
-    nonzero leading coefficient); remainder without leading zeros."""
+def _primitive(p):
+    """The int polynomial p divided by its content, the positive gcd of its
+    coefficients: a positive multiple of p."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _prem(num, den):
+    """A pseudo-remainder of int polynomials, without leading zeros: the
+    remainder of |lc(den)|^e num by den, e = deg num - deg den + 1, so a
+    positive multiple of the remainder over the rationals."""
+    num = list(num)
+    lead = abs(den[0])
+    sign = 1 if den[0] > 0 else -1
+    n = len(den)
+    for i in range(len(num) - n + 1):
+        f = sign * num[i]
+        num[i] = 0
+        for j in range(i + 1, len(num)):
+            num[j] *= lead
+        for j in range(1, n):
+            num[i + j] -= f * den[j]
+    return _strip(num[len(num) - n + 1:])
+
+
+def _int_gcd(a, b):
+    """A greatest common divisor of int polynomials, primitive: the
+    primitive pseudo-remainder sequence (Collins 1967)."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _exact_quotient(num, den):
+    """num / den for int polynomials where den divides num in Z[x]: by
+    Gauss's lemma, wherever den is primitive and divides num over Q."""
     num = list(num)
     quot = []
     for i in range(len(num) - len(den) + 1):
-        q = num[i] / den[0]
+        q = num[i] // den[0]
         quot.append(q)
         for j, d in enumerate(den):
             num[i + j] -= q * d
-    return quot, _strip(num[len(quot):])
-
-
-def _poly_gcd(a, b):
-    """Monic greatest common divisor by Euclid's algorithm."""
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return [c / a[0] for c in a]
+    return quot
 
 
 def _square_free_split(coeffs):
     """Yun's square-free decomposition: [(f_k, k), ...] with the polynomial
     equal to a constant times the product of the f_k^k.
 
-    The f_k are monic, square-free, pairwise coprime and nonconstant, and
-    every root of f_k is a root of multiplicity exactly k.  The arithmetic
-    runs on the exact Fraction values of the coefficients, so a float
-    polynomial is split as the rational polynomial it represents.
+    The f_k are monic Fractions, square-free, pairwise coprime and
+    nonconstant, and every root of f_k is a root of multiplicity exactly k.
+    The coefficients are read once as Python ints (``scale_to_ints``, so a
+    float polynomial is split as the rational polynomial it represents),
+    and Yun's steps run in Z[x] (Yun 1976): each gcd is a primitive
+    pseudo-remainder sequence and each quotient an exact one by a
+    primitive divisor.  Only the factors found are made monic Fractions.
     """
-    f = _strip([Fraction(c) for c in coeffs])
+    f = _strip(scale_to_ints(coeffs)[0])
     if len(f) < 2:
         return []
     df = _poly_deriv(f)
-    a = _poly_gcd(f, df)
-    b, c = _poly_divmod(f, a)[0], _poly_divmod(df, a)[0]
+    a = _int_gcd(f, df)
+    # over Q these are f / a and f' / a up to one common constant factor,
+    # which the next differences and gcds carry along
+    b, c = _exact_quotient(f, a), _exact_quotient(df, a)
     out = []
     k = 1
     while len(b) > 1:
         # c and b' have the same degree, one below that of b
         d = _strip([u - v for u, v in zip(c, _poly_deriv(b))])
-        a = _poly_gcd(b, d)
-        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+        a = _int_gcd(b, d)
+        b, c = _exact_quotient(b, a), _exact_quotient(d, a)
         if len(a) > 1:
-            out.append((a, k))
+            out.append(([Fraction(v, a[0]) for v in a], k))
         k += 1
     return out
 
@@ -184,19 +216,19 @@ def _poly_real_roots(coeffs) -> list[tuple[float, int]]:
 def _factor_roots(factor) -> list[float]:
     """The real roots of a square-free polynomial (Sturm 1829).
 
-    The chain is f, f', then the negated remainders, each scaled to
-    Python ints by a positive factor, so every sign is exact.  By Sturm's
-    theorem V(a) - V(b) roots lie in (a, b], where V counts the sign
-    changes along the chain.  All roots lie in (-2^b, 2^b] by Cauchy's
-    bound; intervals are halved at floats until each holds one root,
-    which bisection on f itself then narrows until the midpoint is an
-    end.  Roots closer than one ulp share a float.
+    The chain is f, f', then the negated remainders, on Python ints: f is
+    the factor scaled to ints, and each later member is a pseudo-remainder
+    divided by its content, a positive multiple of the negated remainder,
+    so every sign is exact.  By Sturm's theorem V(a) - V(b) roots lie in
+    (a, b], where V counts the sign changes along the chain.  All roots
+    lie in (-2^b, 2^b] by Cauchy's bound; intervals are halved at floats
+    until each holds one root, which bisection on f itself then narrows
+    until the midpoint is an end.  Roots closer than one ulp share a float.
     """
-    chain = [factor, _poly_deriv(factor)]
+    f = scale_to_ints(factor)[0]
+    chain = [f, _primitive(_poly_deriv(f))]
     while len(chain[-1]) > 1:
-        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
-    chain = [scale_to_ints(p)[0] for p in chain]
-    f = chain[0]
+        chain.append(_primitive([-c for c in _prem(chain[-2], chain[-1])]))
     lead = abs(f[0])
     exponent = ((lead + max(map(abs, f[1:]))) // lead).bit_length()
     if exponent >= sys.float_info.max_exp:
@@ -204,7 +236,8 @@ def _factor_roots(factor) -> list[float]:
     bound = float(2 ** exponent)
 
     def variations(x):
-        signs = [v for v in (_sign_at(p, x) for p in chain) if v]
+        n, d = x.as_integer_ratio()
+        signs = [v for v in (_sign_at(p, n, d) for p in chain) if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     roots = []
@@ -224,14 +257,15 @@ def _factor_roots(factor) -> list[float]:
 
 def _bisect(f, lo: float, hi: float) -> float:
     """The float nearest the one root of f in (lo, hi]."""
-    sign_hi = _sign_at(f, hi)
+    sign_hi = _sign_at(f, *hi.as_integer_ratio())
     if sign_hi == 0:
         return hi
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:   # adjacent floats: the nearer one
-            return lo if _sign_at(f, (F(lo) + F(hi)) / 2) == sign_hi else hi
-        sign = _sign_at(f, mid)
+            (n, d), (m, e) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            return lo if _sign_at(f, n * e + m * d, 2 * d * e) == sign_hi else hi
+        sign = _sign_at(f, *mid.as_integer_ratio())
         if sign == 0:
             return mid
         if sign == sign_hi:
@@ -240,10 +274,9 @@ def _bisect(f, lo: float, hi: float) -> float:
             lo = mid
 
 
-def _scaled_value(poly, x) -> tuple[int, int]:
-    """(d^deg poly(x), d^deg) for an int polynomial at a float or Fraction
-    x = n/d: a homogeneous Horner sum on ints, so exact."""
-    n, d = x.as_integer_ratio()
+def _scaled_value(poly, n: int, d: int) -> tuple[int, int]:
+    """(d^deg poly(n/d), d^deg) for an int polynomial at the ratio n/d of
+    ints, d > 0: a homogeneous Horner sum on ints, so exact."""
     total, power = 0, 1
     for c in poly:
         total = total * n + c * power
@@ -251,9 +284,9 @@ def _scaled_value(poly, x) -> tuple[int, int]:
     return total, power // d
 
 
-def _sign_at(poly, x) -> int:
-    """Exact sign of an int polynomial at a float or Fraction."""
-    total = _scaled_value(poly, x)[0]
+def _sign_at(poly, n: int, d: int) -> int:
+    """Exact sign of an int polynomial at the ratio n/d of ints, d > 0."""
+    total = _scaled_value(poly, n, d)[0]
     return (total > 0) - (total < 0)
 
 
@@ -336,7 +369,8 @@ class Line:
                 at_b = bool(kb)
             else:  # |Delta(b)| < |Delta(a)|, compared exactly
                 ints = self.scaled[0]
-                (va, da), (vb, db) = _scaled_value(ints, a), _scaled_value(ints, b)
+                (va, da), (vb, db) = (_scaled_value(ints, *a.as_integer_ratio()),
+                                      _scaled_value(ints, *b.as_integer_ratio()))
                 at_b = abs(vb) * da < abs(va) * db
             end, sign, k = (b, -1, kb) if at_b else (a, 1, ka)
             gap = min((sign * (end - r) for r, _ in self.roots if sign * (end - r) > 0),
@@ -391,7 +425,7 @@ class Line:
         def delta(s):
             vals, trusted = self._horner(s)
             for i in np.flatnonzero(~trusted):
-                num, scale = _scaled_value(self.scaled[0], float(s[i]))
+                num, scale = _scaled_value(self.scaled[0], *float(s[i]).as_integer_ratio())
                 vals[i] = num / (scale * self.scaled[1])
             return vals
 
@@ -782,7 +816,7 @@ def no_complete_line_witness(p: BinaryForm) -> tuple[float, int]:
     line = Line(BinaryForm(3, ints[:4]), BinaryForm(3, ints[4:]))
     for r, _ in line.roots:
         for s in (math.nextafter(r, -math.inf), math.nextafter(r, math.inf)):
-            if _poly_eval(line.poly, F(s)) < 0:
+            if _sign_at(line.poly, *s.as_integer_ratio()) < 0:
                 return s, 0
     if line.roots:
         return line.roots[0]

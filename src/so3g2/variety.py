@@ -10,7 +10,7 @@ types.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -67,11 +67,27 @@ class LieAlgebraClass(Enum):
 
 
 def torsion_blocks(t: TorsionData):
-    """The six structure coefficients (a, b, c, q, p, r) of the torsion map.
+    """The six structure coefficients (a, b, c, q, p, r) of the torsion map:
+    a = -l2/3 + m1, b = -l4, c = -l3/3 + m2/2, q = l1, p = l3/3 + m2 and
+    r = l2/3 + m1/2.
 
-    Integer-valued Fractions come back as ints, so that an integer model
-    point has int structure constants.
+    Exact input (ints and Fractions) is read once as ints times a scale s
+    (``_exact.scale_to_ints``); the blocks times 6s are ints, and each is
+    divided once, to an int where it divides and to a Fraction otherwise,
+    so an integer model point has int structure constants.  Any other
+    input (floats, sympy) is combined with Fraction constants, and an
+    integer-valued Fraction among the results comes back as an int.
     """
+    values = t.lam.coeffs + t.mu.coeffs
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        (l1, l2, l3, l4, m1, m2), s = _exact.scale_to_ints(values)
+        den = 6 * s
+        blocks = []
+        for v in (-2 * l2 + 6 * m1, -6 * l4, -2 * l3 + 3 * m2,
+                  6 * l1, 2 * l3 + 6 * m2, 2 * l2 + 3 * m1):
+            quot, rem = divmod(v, den)
+            blocks.append(F(v, den) if rem else quot)
+        return tuple(blocks)
     l1, l2, l3, l4 = t.lam.coeffs
     m1, m2 = t.mu.coeffs
     a = -F(1, 3) * l2 + m1
@@ -80,6 +96,7 @@ def torsion_blocks(t: TorsionData):
     q = l1
     p = F(1, 3) * l3 + m2
     r = F(1, 3) * l2 + F(1, 2) * m1
+    # integer-valued Fractions (of a point mixing floats and Fractions) as ints
     return tuple(v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
                  for v in (a, b, c, q, p, r))
 
@@ -129,9 +146,26 @@ def kappa(t: TorsionData) -> CEOperator:
 
 
 def structure_constants(m: ModelPoint) -> CEOperator:
-    """The Chevalley-Eilenberg operator of the model algebra at m."""
-    cubic, linear = split_b1_b2(m.x, m.y)
-    return kappa(TorsionData(cubic, linear))
+    """The Chevalley-Eilenberg operator of the model algebra at m.
+
+    Raises ValueError when a finite float point has structure constants
+    beyond the float range (its products overflow).
+    """
+    beyond = "the structure constants of this point are beyond the float range"
+    try:
+        cubic, linear = split_b1_b2(m.x, m.y)
+        d = kappa(TorsionData(cubic, linear))
+    except OverflowError:  # a float times a Fraction beyond the float range
+        raise ValueError(beyond) from None
+    point = m.x.coeffs + m.y.coeffs
+    if (not is_exact(point) and not _nonfinite(point)
+            and _nonfinite(v for im in d.images for v in im.coeffs.values())):
+        raise ValueError(beyond)
+    return d
+
+
+def _nonfinite(values) -> bool:
+    return any(isinstance(v, float) and not math.isfinite(v) for v in values)
 
 
 def torsion_of(m: ModelPoint) -> BinaryForm:
@@ -140,14 +174,16 @@ def torsion_of(m: ModelPoint) -> BinaryForm:
 
 
 def membership_rank(t: TorsionData) -> int:
-    """Rank of the 2x3 membership matrix; 1 on the variety."""
-    l1, l2, l3, l4 = (F(v) for v in t.lam.coeffs)
-    m1, m2 = (F(v) for v in t.mu.coeffs)
-    q_mat = [
-        [-F(2, 3) * l2 + F(1, 2) * m1, -F(1, 3) * l3 + F(1, 2) * m2, l1],
-        [-F(2, 3) * l3 - F(1, 2) * m2, -l4, F(1, 3) * l2 + F(1, 2) * m1],
-    ]
-    return _exact.mat_rank(q_mat)
+    """Rank of the 2x3 membership matrix
+    [[-2/3 l2 + m1/2, -l3/3 + m2/2, l1], [-2/3 l3 - m2/2, -l4, l2/3 + m1/2]];
+    1 on the variety.  Decided on 6s times the matrix in Python ints, s
+    the scale of ``_exact.scale_to_ints``, which reads a float as the
+    rational it represents."""
+    (l1, l2, l3, l4, m1, m2), _ = _exact.scale_to_ints(t.lam.coeffs + t.mu.coeffs)
+    return _exact.mat_rank([
+        [-4 * l2 + 3 * m1, -2 * l3 + 3 * m2, 6 * l1],
+        [-4 * l3 - 3 * m2, -6 * l4, 2 * l2 + 3 * m1],
+    ])
 
 
 def su3_components(lam: BinaryForm):
@@ -284,28 +320,23 @@ def is_totally_skew(tau: dict) -> bool:
     return True
 
 
-_SNAP_TOL = 1e-12
-
-
-def _snap(value: float, scale: float):
-    if abs(value) < _SNAP_TOL * max(1.0, scale):
-        warnings.warn("snapping a near-zero classification invariant to 0")
-        return 0
-    return value
-
-
 def classify(m: ModelPoint) -> LieAlgebraClass:
-    """Classify the model algebra at m by discriminant and resultant."""
+    """Classify the model algebra at m by discriminant and resultant.
+
+    Both are decided exactly: a float coordinate counts as the rational it
+    represents.  A point with a float is scaled to Python ints first,
+    one scale for x and one for y, which keeps the sign of the
+    discriminant (quadratic in y) and of the resultant (quadratic in x,
+    linear in y).
+    """
     if m.is_zero():
         raise ValueError("cannot classify the zero point")
-    delta = discriminant(m.y)
-    res = resultant(m.x, m.y)
-    # a float invariant snaps to 0 relative to the size of the point; an
-    # exact one is decided as it is
-    if not is_exact((delta,)):
-        delta = _snap(delta, m.y.norm() ** 2)
-    if not is_exact((res,)):
-        res = _snap(res, (m.x.norm() ** 2) * m.y.norm() or 1.0)
+    x, y = m.x, m.y
+    if not is_exact(x.coeffs + y.coeffs):
+        x = BinaryForm(1, _exact.scale_to_ints(x.coeffs)[0])
+        y = BinaryForm(2, _exact.scale_to_ints(y.coeffs)[0])
+    delta = discriminant(y)
+    res = resultant(x, y)
     if delta == 0 and res == 0:
         return LieAlgebraClass.Nilpotent
     if delta == 0:
@@ -341,14 +372,22 @@ def killing_form(d: CEOperator):
     model points.
     """
     require_lie_algebra(d)
-    c = bracket_constants(d)
-    # the nonzero entries (k, l, v) of ad(e_i), with (ad e_i)[k][l] = c[k][i][l]
-    ad = [[(k, l, c[k][i][l]) for k in range(DIM) for l in range(DIM) if c[k][i][l] != 0]
-          for i in range(DIM)]
+    # ad[i]: the nonzero entries {(k, l): v} of ad(e_i), (ad e_i)[k][l] =
+    # c[k][i][l] in the notation of bracket_constants, read off the images:
+    # a coefficient v of e^(pq) in de^(k+1) is c[k][p-1][q-1] = -v and
+    # c[k][q-1][p-1] = v.  Images in k order with sorted keys fill each ad
+    # map in row-major (k, l) order, the order of the float sums below.
+    ad = [{} for _ in range(DIM)]
+    for k, im in enumerate(d.images):
+        for (p, q), v in sorted(im.coeffs.items()):
+            if v != 0:
+                ad[p - 1][k, q - 1] = -v
+                ad[q - 1][k, p - 1] = v
     b = [[0] * DIM for _ in range(DIM)]
     for i in range(DIM):
         for j in range(i, DIM):
-            b[i][j] = b[j][i] = sum(v * c[l][j][k] for k, l, v in ad[i])
+            ad_j = ad[j]
+            b[i][j] = b[j][i] = sum(v * ad_j.get((l, k), 0) for (k, l), v in ad[i].items())
     return b
 
 

@@ -14,9 +14,9 @@ import pytest
 
 import so3g2
 from so3g2 import cli
-from so3g2.binaryform import BinaryForm
+from so3g2.binaryform import BinaryForm, GL2
 from so3g2.cli import build_parser, main, parse_scalar
-from so3g2.flow import integrate_line, lowest_term
+from so3g2.flow import FlowState, integrate_line, lowest_term
 from so3g2.g2 import assemble_g2
 from so3g2.verify import ALL_SUITES, SAMPLED_SUITES
 from fractions import Fraction
@@ -73,13 +73,34 @@ def test_classify_decimal_inputs_give_float_det(capsys):
     assert abs(det - 21.2285) < 1e-4
 
 
-def test_warning_is_one_stderr_line(capsys):
-    # the discriminant 1e-14 of y snaps to 0
+@pytest.mark.filterwarnings("default:trajectory truncated:UserWarning")
+def test_warning_is_one_stderr_line(capsys, monkeypatch):
+    # a command whose G2 samples run past the boundary: assemble_g2 truncates them
+    def cmd_classify(args):
+        p = BinaryForm(3, [1.0, 0.0, -1.0, 0.0])
+        traj = integrate_line(p, BinaryForm(3, [1 / 3, 0.0, -1.0, 0.0]), [0.0, 0.1])
+        traj.states.append(FlowState(q=BinaryForm(3, [1.0, 0.0, 1.0, 0.0]), p=p,
+                                     s=9.0, t=9.0, detg=0.0))
+        traj.frames.append(GL2.identity())
+        assert len(assemble_g2(traj)) == 2
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_classify", cmd_classify)
+    code = main(["classify", "--x", "1,0", "--y", "1,0,1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "warning: trajectory truncated at t = 9.0: 3-form no longer stable of complex type"]
+
+
+def test_classify_report_agrees_with_its_invariants(capsys):
+    # Delta = -4e-14 and R = 1e-7 of the rationals the decimals round to
     code = main(["classify", "--x", "1,0", "--y", "1e-7,0,1e-7"])
     captured = capsys.readouterr()
-    assert code == 0 and json.loads(captured.out)["class"] == "SO3semidirectR3"
-    assert captured.err.splitlines() == [
-        "warning: snapping a near-zero classification invariant to 0"]
+    data = json.loads(captured.out)
+    assert code == 0 and captured.err == ""
+    assert data["class"] == "SO3C"
+    assert data["delta"] < 0 and data["resultant"] != 0 and data["detKilling"] < 0
 
 
 def test_closed_stdout_exits_0_quietly():
@@ -302,6 +323,21 @@ def test_flow_with_p_beyond_the_float_range_is_a_usage_error(capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: a binary form coefficient is beyond the float range"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--x", "1e300,1e300", "--y", "1e300,0,1e300"],
+    ["curvature", "--x", "1e200,0", "--y", "1e200,0,1"],
+    ["curvature", "--x", f"{BEYOND_FLOAT},0", "--y", "1,0,1.5"],
+])
+def test_float_structure_constants_beyond_the_float_range_are_a_usage_error(capsys, argv):
+    # x * y overflows in floats (the last point: a Fraction times a float)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the structure constants of this point are beyond the float range"]
 
 
 def test_classify_beyond_the_float_range_is_exact(capsys):

@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 
 from so3g2 import verify
 from so3g2.binaryform import BinaryForm, GL2, act, discriminant, q_invert, q_map
+from so3g2._exact import scale_to_ints
 from so3g2.cli import main
 from so3g2.flow import (
     CANONICAL_GENERATORS,
@@ -37,11 +38,12 @@ from so3g2.flow import (
     plane_is_invariant,
     planes_equal,
     time_integral,
+    _factor_roots,
     _poly_deriv,
     _poly_eval,
-    _poly_gcd,
     _poly_real_roots,
     _square_free_split,
+    _strip,
 )
 from so3g2.variety import ModelPoint, structure_constants, torsion_of
 
@@ -639,6 +641,104 @@ def _poly_mul(a, b):
     return out
 
 
+def _poly_divmod(num, den):
+    """Quotient and remainder of exact polynomial division (den has a
+    nonzero leading coefficient); remainder without leading zeros."""
+    num = list(num)
+    quot = []
+    for i in range(len(num) - len(den) + 1):
+        q = num[i] / den[0]
+        quot.append(q)
+        for j, d in enumerate(den):
+            num[i + j] -= q * d
+    return quot, _strip(num[len(quot):])
+
+
+def _poly_gcd(a, b):
+    """Monic greatest common divisor by Euclid's algorithm over Fractions."""
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[0] for c in a]
+
+
+def ref_square_free_split(coeffs):
+    """Yun's split as the package computed it on Fractions, with Euclid's gcd."""
+    f = _strip([F(c) for c in coeffs])
+    if len(f) < 2:
+        return []
+    df = _poly_deriv(f)
+    a = _poly_gcd(f, df)
+    b, c = _poly_divmod(f, a)[0], _poly_divmod(df, a)[0]
+    out = []
+    k = 1
+    while len(b) > 1:
+        d = _strip([u - v for u, v in zip(c, _poly_deriv(b))])
+        a = _poly_gcd(b, d)
+        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+        if len(a) > 1:
+            out.append((a, k))
+        k += 1
+    return out
+
+
+def _ref_sign(poly, x):
+    v = _poly_eval(poly, F(x))
+    return (v > 0) - (v < 0)
+
+
+def ref_factor_roots(factor):
+    """Sturm isolation and bisection as the package computed them: the
+    chain of negated Euclid remainders over Fractions, signs in Fractions."""
+    chain = [factor, _poly_deriv(factor)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+    den = math.lcm(*(c.denominator for c in factor))
+    lead = abs(factor[0] * den)
+    exponent = ((lead + max(abs(c * den) for c in factor[1:])) // lead).bit_length()
+    bound = float(2 ** exponent)
+
+    def variations(x):
+        signs = [v for v in (_ref_sign(p, x) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def bisect(lo, hi):
+        sign_hi = _ref_sign(factor, hi)
+        if sign_hi == 0:
+            return hi
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return lo if _ref_sign(factor, (F(lo) + F(hi)) / 2) == sign_hi else hi
+            sign = _ref_sign(factor, mid)
+            if sign == 0:
+                return mid
+            lo, hi = (lo, mid) if sign == sign_hi else (mid, hi)
+
+    roots = []
+    todo = [(-bound, bound, variations(-bound), variations(bound))]
+    while todo:
+        lo, hi, v_lo, v_hi = todo.pop()
+        mid = 0.5 * (lo + hi)
+        if v_lo - v_hi == 1:
+            roots.append(bisect(lo, hi))
+        elif v_lo - v_hi > 1 and lo < mid < hi:
+            v_mid = variations(mid)
+            todo += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+        elif v_lo > v_hi:
+            roots += [mid] * (v_lo - v_hi)
+    return roots
+
+
+def ref_poly_real_roots(coeffs):
+    trimmed = list(coeffs)
+    if any(isinstance(c, float) for c in coeffs):
+        scale = max(abs(c) for c in coeffs)
+        while trimmed and abs(trimmed[0]) <= 1e-14 * scale:
+            trimmed.pop(0)
+    return sorted((r, k) for factor, k in ref_square_free_split(trimmed)
+                  for r in ref_factor_roots(factor))
+
+
 def _random_split_input(rng):
     """A constant times a random product of linear and quadratic factors,
     some repeated; degree 3 or 4."""
@@ -706,6 +806,97 @@ def test_square_free_split_matches_sympy(kind):
         want = sorted((tuple(F(str(c)) for c in f.monic().all_coeffs()), k) for f, k in factors)
         got = sorted((tuple(f), k) for f, k in _square_free_split(poly))
         assert got == want, poly
+
+
+def _noncomplete_lines():
+    """The int-scaled discriminant polynomials of the 100 sampled lines of
+    suite_noncomplete at its default seed, as no_complete_line_witness
+    builds them (coefficients up to about 2^220)."""
+    rng = random.Random(7)
+    for _ in range(100):
+        lam = [rng.uniform(-2, 2) for _ in range(3)]
+        p = BinaryForm(3, [lam[0], lam[1], lam[2], lam[1]])
+        if p.norm() < 0.05:
+            continue
+        ints, _ = scale_to_ints(Q0.coeffs + p.coeffs)
+        yield Line(BinaryForm(3, ints[:4]), BinaryForm(3, ints[4:])).poly
+
+
+def _flow_g2_lines(seed):
+    """The lines of `so3g2 flow` in the 400 requests of the flow-g2
+    benchmark at seed: Q0 in Fractions, and the float torsion reading p of
+    a half-flat float point whose first discriminant root ahead (np.roots)
+    is at least 0.25.  The draws, including each request's unused lam and
+    z values, are the benchmark's."""
+    rng = random.Random(seed)
+    lines = []
+    while len(lines) < 400:
+        x = [rng.uniform(-2.0, 2.0) for _ in range(2)]
+        y = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+        if max(abs(v) for v in x) <= 0.1 or max(abs(v) for v in y) <= 0.1:
+            continue
+        (x1, x2), (y1, y2, y3) = x, y
+        if abs(x2) >= abs(x1):
+            y[2] = (x1 * y2 + x2 * y1) / x2
+        else:
+            y[1] = x2 * (y3 - y1) / x1
+        if max(abs(v) for v in y) > 2.0 or max(abs(v) for v in y) <= 0.1:
+            continue
+        y1, y2, y3 = y
+        p = [-x1 * y1, -(x1 * y2 + x2 * y1), -(x1 * y3 + x2 * y2), -x2 * y3]
+        q1, q2, q3, q4 = (np.polynomial.Polynomial([a, b])
+                          for a, b in zip((1.0 / 3.0, 0.0, -1.0, 0.0), p))
+        disc = (q2 ** 2 * q3 ** 2 - 4 * q1 * q3 ** 3 - 4 * q2 ** 3 * q4
+                + 18 * q1 * q2 * q3 * q4 - 27 * q1 ** 2 * q4 ** 2)
+        ahead = [r.real for r in disc.roots() if abs(r.imag) <= 1e-9 and r.real > 0]
+        if min(ahead, default=math.inf) < 0.25:
+            continue
+        rng.uniform(0.5, 2.0)
+        [rng.uniform(0.0, 2.0) for _ in range(16)]
+        lines.append(Line(Q0, BinaryForm(3, p)))
+    return lines
+
+
+def _assert_split_and_roots_match_the_reference(poly, roots=None):
+    got, want = _square_free_split(poly), ref_square_free_split(poly)
+    assert got == want, poly
+    assert all(type(c) is F for factor, _ in got for c in factor)
+    got_roots = _poly_real_roots(poly) if roots is None else roots
+    assert got_roots == ref_poly_real_roots(poly), poly
+    assert all(type(r) is float and type(k) is int for r, k in got_roots)
+
+
+def test_split_and_roots_on_ints_match_the_fraction_reference():
+    rng = random.Random(92)
+    for _ in range(200):
+        poly = _random_split_input(rng)
+        if rng.random() < 0.5:
+            poly = [float(c) for c in poly]
+        _assert_split_and_roots_match_the_reference(poly)
+    lines = list(_noncomplete_lines())
+    assert len(lines) > 90 and max(abs(c) for poly in lines for c in poly).bit_length() > 200
+    for poly in lines:
+        _assert_split_and_roots_match_the_reference(poly)
+
+
+@pytest.mark.parametrize("seed", [1, 90210])
+def test_flow_g2_line_roots_match_the_fraction_reference(seed):
+    for line in _flow_g2_lines(seed):
+        _assert_split_and_roots_match_the_reference(line.poly, line.roots)
+
+
+def test_sturm_chains_make_no_fraction_arithmetic(fractions_made):
+    # the split makes only its monic factors; the chains and bisection none
+    polys = list(_noncomplete_lines())[:20] + [line.poly for line in _flow_g2_lines(1)[:20]]
+    for poly in polys:
+        made = len(fractions_made)
+        split = _square_free_split(poly)
+        # a float coefficient is read as its rational, one Fraction each
+        read = sum(isinstance(c, float) for c in poly)
+        assert len(fractions_made) - made == read + sum(len(f) for f, _ in split)
+        made = len(fractions_made)
+        roots = [r for factor, _ in split for r in _factor_roots(factor)]
+        assert roots and len(fractions_made) == made
 
 
 def test_line_discriminant_poly_against_sympy():

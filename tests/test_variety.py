@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_exact_point
+from conftest import random_exact_point, random_float_point
 from so3g2 import verify
 from so3g2._exact import mat_det, mat_rank, sym_signature
 from so3g2.binaryform import BinaryForm, GL2, discriminant, resultant, split_b1_b2
@@ -18,6 +18,7 @@ from so3g2.variety import (
     TorsionData,
     act_on_point,
     alternation_matches_kappa,
+    bracket_constants,
     center_dim,
     classify,
     derived_algebra_dim,
@@ -321,6 +322,135 @@ def test_int_and_fraction_off_variety_draws_agree():
         assert d_squared_residual(kappa(t)) == d_squared_residual(kappa(t_frac))
 
 
+def ref_torsion_blocks(t):
+    """torsion_blocks as the package computed it for every input: Fraction
+    constants, then integer-valued Fractions as ints."""
+    l1, l2, l3, l4 = t.lam.coeffs
+    m1, m2 = t.mu.coeffs
+    blocks = (-F(1, 3) * l2 + m1, -l4, -F(1, 3) * l3 + F(1, 2) * m2,
+              l1, F(1, 3) * l3 + m2, F(1, 3) * l2 + F(1, 2) * m1)
+    return tuple(v.numerator if isinstance(v, F) and v.denominator == 1 else v for v in blocks)
+
+
+def ref_membership_rank(t):
+    """membership_rank as the package computed it: a Fraction matrix."""
+    l1, l2, l3, l4 = (F(v) for v in t.lam.coeffs)
+    m1, m2 = (F(v) for v in t.mu.coeffs)
+    return mat_rank([
+        [-F(2, 3) * l2 + F(1, 2) * m1, -F(1, 3) * l3 + F(1, 2) * m2, l1],
+        [-F(2, 3) * l3 - F(1, 2) * m2, -l4, F(1, 3) * l2 + F(1, 2) * m1],
+    ])
+
+
+def _torsion_inputs(kind):
+    if kind == "mixed":
+        # a CLI point mixes Fractions and floats
+        rng = random.Random(30)
+        draw = lambda: rng.choice([F(rng.randint(-6, 6)), F(1, 3), rng.uniform(-2.0, 2.0)])
+        return [TorsionData(BinaryForm(3, [draw() for _ in range(4)]),
+                            BinaryForm(1, [draw() for _ in range(2)])) for _ in range(200)]
+    if kind in ("jacobi", "killing"):
+        seed, span = {"jacobi": (0, 6), "killing": (1, 4)}[kind]
+        return [TorsionData(*split_b1_b2(m.x, m.y))
+                for m, _, _ in _int_and_fraction_draws(seed, span, False)]
+    if kind == "off-variety":
+        rng = random.Random(0)
+        for _ in range(1000):
+            verify._random_point_exact(rng)
+        return [TorsionData(BinaryForm(3, [rng.randint(-6, 6) for _ in range(4)]),
+                            BinaryForm(1, [rng.randint(-6, 6) for _ in range(2)]))
+                for _ in range(200)]
+    return _kappa_inputs(kind)
+
+
+def _outcome(f, t):
+    try:
+        return f(t)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float", "mixed", "sympy", "nan",
+                                  "representatives", "jacobi", "killing", "off-variety"])
+def test_torsion_blocks_and_membership_rank_match_the_fraction_reference(kind):
+    # value and type (repr, so NaN compares) of every block; the rank, or the error
+    for t in _torsion_inputs(kind):
+        assert ([(type(v), repr(v)) for v in torsion_blocks(t)]
+                == [(type(v), repr(v)) for v in ref_torsion_blocks(t)])
+        assert _outcome(membership_rank, t) == _outcome(ref_membership_rank, t)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "jacobi", "off-variety"])
+def test_exact_torsion_blocks_and_membership_rank_make_no_fraction_arithmetic(
+        kind, fractions_made):
+    inputs = _torsion_inputs(kind)
+    del fractions_made[:]
+    for t in inputs:
+        made = len(fractions_made)
+        blocks = torsion_blocks(t)
+        assert len(fractions_made) - made == sum(type(v) is F for v in blocks)
+        made = len(fractions_made)
+        membership_rank(t)
+        assert len(fractions_made) == made
+
+
+def ref_killing_form(d):
+    """killing_form as the package computed it: ad maps scanned out of the
+    dense bracket_constants table."""
+    c = bracket_constants(d)
+    ad = [[(k, l, c[k][i][l]) for k in range(6) for l in range(6) if c[k][i][l] != 0]
+          for i in range(6)]
+    b = [[0] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i, 6):
+            b[i][j] = b[j][i] = sum(v * c[l][j][k] for k, l, v in ad[i])
+    return b
+
+
+def _reversed_keys(d):
+    """d with each image's coefficients stored in reverse key order."""
+    images = []
+    for im in d.images:
+        f = KForm.zero(2)
+        f.coeffs = dict(reversed(list(im.coeffs.items())))
+        images.append(f)
+    return CEOperator(tuple(images))
+
+
+def test_killing_form_matches_the_dense_reference(rng):
+    def entries(b):
+        return [[(type(v), repr(v)) for v in row] for row in b]
+
+    # float points: bit-identical, also when the image keys are not stored in order
+    frng = random.Random("killing floats")
+    for n in range(500):
+        d = structure_constants(random_float_point(frng))
+        if n % 2:
+            d = _reversed_keys(d)
+        assert entries(killing_form(d)) == entries(ref_killing_form(d))
+    # int and Fraction points: equal, with types
+    for n in range(200):
+        m = random_exact_point(rng)
+        if n % 2:
+            m = ModelPoint.make([F(v, rng.randint(1, 5)) for v in m.x.coeffs],
+                                [F(v, rng.randint(1, 5)) for v in m.y.coeffs])
+        d = structure_constants(m)
+        assert entries(killing_form(d)) == entries(ref_killing_form(d))
+        assert entries(killing_form(_reversed_keys(d))) == entries(ref_killing_form(d))
+
+
+def test_int_operators_make_no_fraction_arithmetic(fractions_made):
+    # integer model points of the jacobi and killing seeds have int images
+    ops = [structure_constants(m) for seed, span in ((0, 6), (1, 4))
+           for m, _, _ in _int_and_fraction_draws(seed, span, False, n=50)]
+    assert all(type(v) is int for d in ops for im in d.images for v in im.coeffs.values())
+    del fractions_made[:]
+    for d in ops:
+        d_squared_residual(d)
+        killing_form(d)
+    assert fractions_made == []
+
+
 def test_tau_lambda_zero():
     tau = tau_lambda(BinaryForm(3, [F(0)] * 4))
     assert all(tau[i].is_zero() for i in range(1, 7))
@@ -424,13 +554,24 @@ def test_classify_orbit_invariance(rng):
         assert classify(m) == classify(act_on_point(g, m))
 
 
-def test_classify_float_snap_warns():
+def test_classify_decides_floats_exactly():
+    # Delta = 1e-30 and R = 0 of the rationals the floats represent: no
+    # snapping to the nilpotent class, and no warning
     m = ModelPoint.make([1.0, 0.0], [1.0, 1e-15, 0.0])
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        cls = classify(m)
-    assert cls == LieAlgebraClass.Nilpotent
-    assert any("snapping" in str(w.message) for w in rec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify(m) == LieAlgebraClass.SO3directR3
+        # Delta = -4e-14 < 0, R = 1e-7 != 0
+        assert classify(ModelPoint.make([1, 0], [1e-7, 0, 1e-7])) == LieAlgebraClass.SO3C
+    rng = random.Random("classify floats")
+    for _ in range(200):
+        # small-integer floats times powers of two, so the boundary classes occur
+        x = [rng.randint(-2, 2) * 2.0 ** rng.randint(-60, 60) for _ in range(2)]
+        y = [rng.randint(-2, 2) * 2.0 ** rng.randint(-60, 60) for _ in range(3)]
+        if not any(x) or not any(y):
+            continue
+        exact = ModelPoint.make([F(v) for v in x], [F(v) for v in y])
+        assert classify(ModelPoint.make(x, y)) == classify(exact)
 
 
 def test_killing_identity_examples():
