@@ -65,7 +65,8 @@ def _ratio(v):
 
 
 def mat_det(m):
-    """Determinant by Bareiss elimination; a float when a float is present."""
+    """Determinant by Bareiss elimination; a float when a float is present
+    (ValueError when that float would be beyond the float range)."""
     a, scale, inexact = _integer_copy(m)
     n = len(a)
     if n == 0:
@@ -74,7 +75,10 @@ def mat_det(m):
     det = sign * a[n - 1][n - 1] if rank == n else 0
     if det and scale != 1:
         det = Fraction(det, scale)
-    return float(det) if inexact else det
+    try:
+        return float(det) if inexact else det
+    except OverflowError:
+        raise ValueError("the determinant is beyond the float range") from None
 
 
 def mat_rank(m):

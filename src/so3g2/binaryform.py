@@ -231,16 +231,24 @@ def split_b1_b2(x: BinaryForm, y: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
     """Split the product of a linear and a quadratic form into cubic + linear parts.
 
     The cubic part is the plain product x*y; the linear part is the
-    complementary equivariant component of the tensor product.
+    complementary equivariant component of the tensor product, an int
+    on int input where 3 divides it.
     """
     if x.degree != 1 or y.degree != 2:
         raise ValueError("split_b1_b2 expects degrees (1, 2)")
     x1, x2 = x.coeffs
     y1, y2, y3 = y.coeffs
     cubic = BinaryForm(3, [x1 * y1, x1 * y2 + x2 * y1, x1 * y3 + x2 * y2, x2 * y3])
-    linear = BinaryForm(1, [Fraction(2, 3) * (2 * x2 * y1 - x1 * y2),
-                            Fraction(2, 3) * (x2 * y2 - 2 * x1 * y3)])
+    linear = BinaryForm(1, [_two_thirds(2 * x2 * y1 - x1 * y2),
+                            _two_thirds(x2 * y2 - 2 * x1 * y3)])
     return cubic, linear
+
+
+def _two_thirds(v):
+    if isinstance(v, int):
+        quot, rem = divmod(2 * v, 3)
+        return Fraction(2 * v, 3) if rem else quot
+    return Fraction(2, 3) * v
 
 
 def q_map(g: GL2) -> BinaryForm:

@@ -9,6 +9,7 @@ structure of the circle action is diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,18 +98,20 @@ def riemann_tensor(d: CEOperator) -> np.ndarray:
 
 
 def levi_civita_oracle(d: CEOperator) -> CurvatureReport:
-    """Full curvature of the left-invariant metric with orthonormal coframe."""
-    riem = riemann_tensor(d)
-    ric = np.einsum("ijki->jk", riem)
-    scalar = float(np.trace(ric))
-    ric0 = ric - (scalar / DIM) * np.eye(DIM)
-    weyl = _weyl_tensor(riem, ric, scalar)
-    return CurvatureReport(
-        ricci=ric,
-        scalar=scalar,
-        ricci_traceless_norm=float(np.sqrt(np.sum(ric0 * ric0))),
-        weyl_norm=float(np.sqrt(np.sum(weyl * weyl))),
-    )
+    """Full curvature of the left-invariant metric with orthonormal coframe;
+    ValueError when a number of it is beyond the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        riem = riemann_tensor(d)
+        ric = np.einsum("ijki->jk", riem)
+        scalar = float(np.trace(ric))
+        ric0 = ric - (scalar / DIM) * np.eye(DIM)
+        weyl = _weyl_tensor(riem, ric, scalar)
+        norms = float(np.sqrt(np.sum(ric0 * ric0))), float(np.sqrt(np.sum(weyl * weyl)))
+    # a non-finite Ricci entry makes the traceless norm non-finite too
+    if not all(map(math.isfinite, (scalar, *norms))):
+        raise ValueError("the curvature of this point is beyond the float range")
+    return CurvatureReport(ricci=ric, scalar=scalar, ricci_traceless_norm=norms[0],
+                           weyl_norm=norms[1])
 
 
 def _weyl_tensor(riem, ric, scalar):

@@ -17,13 +17,20 @@ nonzero coefficient in its Python scalars, straight from the images,
 through one static fan-in table per degree (form key, then image key,
 giving the row and the sign); the d^2 test of a rational operator runs
 on its images scaled to Python ints.
+
+An operator built by ``variety.kappa`` records the blocks
+(a, b, c, q, p, r) that fill its images; each of its 24 nonzero d^2
+coefficients is plus or minus a 2x2 minor of N = [[a - r, c, q],
+[c - p, b, r]], 1/6 of the membership matrix, so ``require_lie_algebra``
+decides it on three minors.  A float operator is judged divided by its
+largest |coefficient| m when m > 1, as d^2's roundoff grows as m^2.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -314,6 +321,8 @@ class CEOperator:
     """A Chevalley-Eilenberg differential, given by the images d(e^i) in degree 2."""
 
     images: tuple
+    # the torsion blocks of an operator built by variety.kappa, else None
+    _blocks: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.images) != DIM:
@@ -357,7 +366,8 @@ class CEOperator:
         return m
 
     def to_float(self) -> "CEOperator":
-        return CEOperator(tuple(im.to_float() for im in self.images))
+        return CEOperator(tuple(im.to_float() for im in self.images),
+                          self._blocks and tuple(map(float, self._blocks)))
 
     def to_json(self) -> dict:
         return {"images": [im.to_json() for im in self.images]}
@@ -447,10 +457,34 @@ def _d_squared_max(d: CEOperator) -> Scalar:
     return worst
 
 
+def _kappa_minors(blocks):
+    """The three 2x2 minors of N = [[a - r, c, q], [c - p, b, r]] for the
+    blocks (a, b, c, q, p, r) of ``variety.torsion_blocks``; d^2 of the
+    operator ``variety.kappa`` builds from them has max |coefficient|
+    max |minor|, exactly."""
+    a, b, c, q, p, r = blocks
+    u, v, w, x, y, z = a - r, c, q, c - p, b, r
+    return u * y - v * x, u * z - w * x, v * z - w * y
+
+
 def require_lie_algebra(d: CEOperator) -> None:
-    """Raise ValueError unless d satisfies the Jacobi identity: exactly when
-    every coefficient is exact, beyond roundoff (1e-9) otherwise."""
-    residual = d_squared_residual(d)
-    exact = is_exact(v for im in d.images for v in im.coeffs.values())
+    """Raise ValueError unless d satisfies the Jacobi identity.
+
+    The residual is max |minor| of ``_kappa_minors`` for an operator that
+    ``variety.kappa`` built, d_squared_residual for any other: exactly 0
+    for exact coefficients; for floats at most 1e-9 * max(1, m)^2, m the
+    largest |image coefficient|, taken on the blocks (or images) divided
+    by m when m > 1 so that nothing squared overflows.
+    """
+    values = [v for im in d.images for v in im.coeffs.values()]
+    exact = is_exact(values)
+    blocks = d._blocks
+    scale = 1 if exact else max(map(abs, values), default=0)
+    if scale > 1:
+        if blocks is None:
+            d = CEOperator(tuple(im / scale for im in d.images))
+        else:
+            blocks = [v / scale for v in blocks]
+    residual = d_squared_residual(d) if blocks is None else max(map(abs, _kappa_minors(blocks)))
     if (exact and residual != 0) or float(residual) > 1e-9:
         raise ValueError("not a Lie algebra: d^2 != 0")

@@ -129,7 +129,9 @@ def kappa(t: TorsionData) -> CEOperator:
     on (1, 2), (5, 6), and de^5, de^6 the same on (1, 2), (3, 4).  The
     images are filled from ``_KAPPA_TABLE``, whose keys are already
     increasing, so no key is sorted or checked; zero entries are
-    dropped, as ``KForm`` does.
+    dropped, as ``KForm`` does.  The operator records scalar blocks, from
+    which ``require_lie_algebra`` decides the Jacobi identity; symbolic
+    ones are left to the generic d^2, which expands its sums.
     """
     blocks = torsion_blocks(t)
     images = []
@@ -142,7 +144,8 @@ def kappa(t: TorsionData) -> CEOperator:
         im = KForm.zero(2)
         im.coeffs = coeffs
         images.append(im)
-    return CEOperator(tuple(images))
+    scalars = all(isinstance(v, (int, Fraction, float)) for v in blocks)
+    return CEOperator(tuple(images), blocks if scalars else None)
 
 
 def structure_constants(m: ModelPoint) -> CEOperator:

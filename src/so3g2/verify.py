@@ -31,7 +31,7 @@ from .curvature import (
     model_tcoords,
     ricci_closed_form,
 )
-from .exterior import CEOperator, KForm, d_squared_residual
+from .exterior import CEOperator, KForm, _kappa_minors, d_squared_residual
 from .flow import (
     CANONICAL_GENERATORS,
     InvalidEndpoint,
@@ -138,17 +138,22 @@ def _random_point_float(rng) -> ModelPoint:
 # ---------------------------------------------------------------------------
 
 def suite_jacobi(seed: int = 0, n_samples: int = 1000, perturb: bool = False) -> SuiteResult:
-    """d^2 = 0 exactly on the variety; d^2 != 0 at rank-two torsion data."""
+    """d^2 = 0 exactly on the variety; d^2 != 0 at rank-two torsion data;
+    and on every sample d^2 equals max |minor| of the torsion blocks' N
+    (``exterior._kappa_minors``), read off the blocks kappa records."""
     rng = random.Random(seed)
     worst = 0
+    minors_equal = 0
     for _ in range(n_samples):
         m = _random_point_exact(rng)
         d = structure_constants(m)
+        minors = _kappa_minors(d._blocks)
         if perturb:
             imgs = list(d.images)
             imgs[0] = imgs[0] + KForm(2, {(3, 5): F(1, 7)})
             d = CEOperator(tuple(imgs))
         res = d_squared_residual(d)
+        minors_equal += res == max(map(abs, minors))
         worst = max(worst, float(res))
     off_ok = 0
     tried = 0
@@ -159,10 +164,14 @@ def suite_jacobi(seed: int = 0, n_samples: int = 1000, perturb: bool = False) ->
         if membership_rank(t) != 2:
             continue
         tried += 1
-        if d_squared_residual(kappa(t)) != 0:
+        d = kappa(t)
+        res = d_squared_residual(d)
+        minors_equal += res == max(map(abs, _kappa_minors(d._blocks)))
+        if res != 0:
             off_ok += 1
-    passed = worst == 0 and off_ok == n_samples
-    detail = f"{off_ok}/{n_samples} rank-2 samples break Jacobi"
+    passed = worst == 0 and off_ok == n_samples and minors_equal == 2 * n_samples
+    detail = (f"{off_ok}/{n_samples} rank-2 samples break Jacobi; "
+              f"d^2 = max|minor N| on {minors_equal}/{2 * n_samples}")
     if perturb:
         detail += " (structure constants perturbed on purpose)"
     return SuiteResult("jacobi", passed, worst, 0.0, detail)

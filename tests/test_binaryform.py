@@ -108,6 +108,23 @@ def test_resultant_vanishes_iff_common_root():
         assert resultant(x, y) == 0
 
 
+def test_split_b1_b2_linear_part_on_ints_and_floats():
+    rng = random.Random(34)
+    for _ in range(200):
+        x = [rng.randint(-9, 9) for _ in range(2)]
+        y = [rng.randint(-9, 9) for _ in range(3)]
+        _, lin = split_b1_b2(BinaryForm(1, x), BinaryForm(2, y))
+        ref = [F(2, 3) * (2 * x[1] * y[0] - x[0] * y[1]), F(2, 3) * (x[1] * y[1] - 2 * x[0] * y[2])]
+        # an int where 3 divides, else the Fraction
+        assert [(type(v), v) for v in lin.coeffs] == [
+            (int, v.numerator) if v.denominator == 1 else (F, v) for v in ref]
+        xf, yf = [v / 7 for v in x], [v / 3 for v in y]
+        _, lin = split_b1_b2(BinaryForm(1, xf), BinaryForm(2, yf))
+        assert [repr(v) for v in lin.coeffs] == [
+            repr(F(2, 3) * (2 * xf[1] * yf[0] - xf[0] * yf[1])),
+            repr(F(2, 3) * (xf[1] * yf[1] - 2 * xf[0] * yf[2]))]
+
+
 def test_split_b1_b2_examples():
     cubic, lin = split_b1_b2(U1, BinaryForm(2, [F(0), F(1), F(0)]))
     assert cubic == BinaryForm(3, [F(0), F(1), F(0), F(0)])

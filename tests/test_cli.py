@@ -340,6 +340,31 @@ def test_float_structure_constants_beyond_the_float_range_are_a_usage_error(caps
         "error: the structure constants of this point are beyond the float range"]
 
 
+def test_curvature_of_a_large_float_point_on_the_variety(capsys):
+    # d^2 leaves roundoff of 1e-7 here (7e-17 of the squared scale); the
+    # guard judges it on the operator divided by its largest coefficient
+    outs = []
+    for x, y in (("-19,23.9", "169.7,-13.7,3.1"), ("-19,239/10", "1697/10,-137/10,31/10")):
+        assert main(["curvature", f"--x={x}", f"--y={y}"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(json.loads(captured.out))
+    assert outs[0]["scalar"] == pytest.approx(outs[1]["scalar"], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["curvature", "--x=1e100,1", "--y=1,1,1"], "the curvature of this point"),
+    (["classify", "--x=1e100,1", "--y=1,1,1"], "the determinant"),
+])
+def test_curvature_and_killing_beyond_the_float_range_are_a_usage_error(capsys, argv, message):
+    # the structure constants are finite; the Ricci tensor and det F are not
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message} is beyond the float range"]
+
+
 def test_classify_beyond_the_float_range_is_exact(capsys):
     # no float norm is taken of exact input, and det F prints all its 4805 digits
     code = main(["classify", "--x", f"{BEYOND_FLOAT},0", "--y", "1,0,1"])

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from so3g2 import exterior, verify
+from conftest import random_float_point
+from so3g2 import curvature, exterior, verify
+from so3g2._exact import is_exact
 from so3g2.binaryform import BinaryForm
 from so3g2.exterior import (
     BASIS,
@@ -14,12 +16,23 @@ from so3g2.exterior import (
     KForm,
     apply_d,
     d_squared_residual,
+    _kappa_minors,
     _sort_with_sign,
     interior,
+    require_lie_algebra,
     wedge,
     wedge_all,
 )
-from so3g2.variety import ModelPoint, TorsionData, kappa, membership_rank, structure_constants
+from so3g2.variety import (
+    _KAPPA_TABLE,
+    ModelPoint,
+    TorsionData,
+    kappa,
+    killing_form,
+    membership_rank,
+    structure_constants,
+    torsion_blocks,
+)
 
 SIGMA = KForm(2, {(1, 2): F(1), (3, 4): F(1), (5, 6): F(1)})
 
@@ -413,3 +426,178 @@ def test_symbolic_d_squared_residual_vanishes():
     imgs[0] = imgs[0] + KForm(2, {(3, 5): x1})
     bad = CEOperator(tuple(imgs))
     assert any(not apply_d(bad, bad.d1(i)).is_zero() for i in range(1, DIM + 1))
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi guard of a kappa operator: three 2x2 minors of N
+# ---------------------------------------------------------------------------
+
+def _table_images(table, blocks):
+    """The six images kappa fills from a table of (key, block index, sign)."""
+    return tuple(KForm(2, {key: sgn * blocks[i] for key, i, sgn in row}) for row in table)
+
+
+def _d_squared_entries(images):
+    d = CEOperator(images)
+    return [v for i in range(1, DIM + 1) for v in apply_d(d, d.d1(i)).coeffs.values()]
+
+
+def test_d_squared_of_kappa_is_the_minors_of_n_symbolically():
+    sp = pytest.importorskip("sympy")
+    blocks = sp.symbols("a b c q p r")
+    minors = [sp.expand(m) for m in _kappa_minors(blocks)]
+    entries = _d_squared_entries(_table_images(_KAPPA_TABLE, blocks))
+    assert len(entries) == 24
+    hit = set()
+    for v in entries:
+        (k,) = [k for k, m in enumerate(minors) if sp.expand(v - m) == 0 or sp.expand(v + m) == 0]
+        hit.add(k)
+    # every minor appears, so d^2 = 0 exactly when all three vanish
+    assert hit == {0, 1, 2}
+
+    def is_minor_table(table):
+        entries = _d_squared_entries(_table_images(table, blocks))
+        return len(entries) == 24 and all(
+            any(sp.expand(v - m) == 0 or sp.expand(v + m) == 0 for m in minors) for v in entries)
+
+    # negative controls: one entry of the table with its sign moved, or
+    # with another block index
+    def mutant(row, entry, sign=None, index=None):
+        table = [list(r) for r in _KAPPA_TABLE]
+        key, i, sgn = table[row][entry]
+        table[row][entry] = (key, i if index is None else index, sgn if sign is None else sign)
+        return table
+
+    assert is_minor_table(_KAPPA_TABLE)
+    assert not is_minor_table(mutant(0, 0, sign=-1))
+    assert not is_minor_table(mutant(3, 3, sign=1))
+    assert not is_minor_table(mutant(1, 0, index=0))
+    assert not is_minor_table(mutant(4, 1, index=5))
+
+
+def _off_variety_draws(n=200):
+    """jacobi's rank-two torsion data at its default seed, as the suite draws them."""
+    rng = random.Random(0)
+    for _ in range(1000):
+        verify._random_point_exact(rng)
+    out = []
+    while len(out) < n:
+        t = TorsionData(BinaryForm(3, [rng.randint(-6, 6) for _ in range(4)]),
+                        BinaryForm(1, [rng.randint(-6, 6) for _ in range(2)]))
+        if membership_rank(t) == 2:
+            out.append(t)
+    return out
+
+
+def test_kappa_operators_carry_their_blocks_only_through_to_float():
+    rng = random.Random(31)
+    for t in _off_variety_draws(20):
+        d = kappa(t)
+        assert d._blocks == torsion_blocks(t)
+        assert d.to_float()._blocks == tuple(float(v) for v in torsion_blocks(t))
+        # the blocks are no part of the operator's value
+        plain = CEOperator(d.images)
+        assert plain._blocks is None and plain == d and hash(plain) == hash(d)
+        assert CEOperator.from_json(d.to_json())._blocks is None
+    d = structure_constants(verify._random_point_exact(rng))
+    imgs = list(d.images)
+    imgs[0] = imgs[0] + KForm(2, {(3, 5): F(1, 7)})   # the perturbed jacobi operator
+    assert d._blocks is not None and CEOperator(tuple(imgs))._blocks is None
+
+
+def test_killing_and_curvature_refuse_kappa_off_the_variety():
+    for t in _off_variety_draws():
+        for d in (kappa(t), kappa(t).to_float()):
+            with pytest.raises(ValueError, match="not a Lie algebra"):
+                killing_form(d)
+            with pytest.raises(ValueError, match="not a Lie algebra"):
+                curvature.levi_civita_oracle(d)
+
+
+def test_killing_and_curvature_of_kappa_make_no_d_squared(monkeypatch):
+    calls = []
+    for name in ("apply_d", "d_squared_residual"):
+        f = getattr(exterior, name)
+        monkeypatch.setattr(exterior, name, lambda *a, f=f: calls.append(1) or f(*a))
+    rng = random.Random(1)
+    for _ in range(20):
+        d = structure_constants(verify._random_point_exact(rng))
+        killing_form(d)
+        curvature.levi_civita_oracle(d)
+        curvature.levi_civita_oracle(d.to_float())
+    assert calls == []
+    # any operator without blocks keeps the generic d^2
+    killing_form(CEOperator(d.images))
+    assert len(calls) == 1 + DIM
+
+
+def ref_guard_passes(d) -> bool:
+    """require_lie_algebra as it was before the minors: generic d^2 against
+    an absolute 1e-9 for float coefficients."""
+    residual = d_squared_residual(d)
+    exact = is_exact(v for im in d.images for v in im.coeffs.values())
+    return not ((exact and residual != 0) or float(residual) > 1e-9)
+
+
+def _guard_passes(d) -> bool:
+    try:
+        require_lie_algebra(d)
+    except ValueError:
+        return False
+    return True
+
+
+def test_guard_decides_as_the_generic_route_on_the_curvature_scan_points():
+    # the 20000 float points of the curvature-scan benchmark at seed 1, as
+    # `so3g2 curvature` builds their operators
+    rng = random.Random(1)
+    worst_generic = worst_minors = 0.0
+    for _ in range(20000):
+        d = structure_constants(random_float_point(rng)).to_float()
+        generic = d_squared_residual(d)
+        assert _guard_passes(d) == (generic <= 1e-9) is True
+        worst_generic = max(worst_generic, generic)
+        worst_minors = max(worst_minors, max(map(abs, _kappa_minors(d._blocks))))
+    assert 0 < worst_generic < 1e-13 and 0 < worst_minors < 1e-13
+
+
+def test_guard_decides_as_the_generic_route_at_scale_at_most_one():
+    rng = random.Random(32)
+    refused = 0
+    for _ in range(500):
+        t = TorsionData(BinaryForm(3, [rng.uniform(-0.5, 0.5) for _ in range(4)]),
+                        BinaryForm(1, [rng.uniform(-0.5, 0.5) for _ in range(2)]))
+        on = structure_constants(ModelPoint.make([rng.uniform(-0.5, 0.5) for _ in range(2)],
+                                                 [rng.uniform(-0.5, 0.5) for _ in range(3)]))
+        for d in (kappa(t), on):
+            assert max(map(abs, d._blocks)) <= 1
+            assert _guard_passes(d) == ref_guard_passes(d)
+            refused += not _guard_passes(d)
+    assert refused == 500
+
+
+@pytest.mark.parametrize("scale", [100.0, 300.0, 1e8])
+def test_float_guard_is_scale_invariant(scale):
+    # points of the variety at coordinate scale `scale`: d^2 leaves
+    # roundoff of order scale^4 * 1e-16, which the absolute 1e-9 refused
+    # (148, 197 and 200 of these 200 points)
+    rng = random.Random(33)
+    ref_refused = 0
+    for _ in range(200):
+        m = random_float_point(rng, span=scale)
+        d = structure_constants(m)
+        assert _guard_passes(d) and _guard_passes(CEOperator(d.images))
+        ref_refused += not ref_guard_passes(d)
+    assert ref_refused > 0
+
+
+def test_float_guard_refuses_non_lie_operators_at_any_scale():
+    z = KForm.zero(2)
+    bad = CEOperator((KForm.basis(2, 4), KForm.basis(1, 3), z, z, z, z))
+    for scale in (1.0, 1e3, 1e200):
+        with pytest.raises(ValueError, match="not a Lie algebra"):
+            require_lie_algebra(CEOperator(tuple(scale * im for im in bad.images)))
+    t = _off_variety_draws(1)[0]
+    for scale in (1e3, 1e200):
+        with pytest.raises(ValueError, match="not a Lie algebra"):
+            require_lie_algebra(kappa(TorsionData(scale * t.lam.to_float(), scale * t.mu.to_float())))

@@ -440,9 +440,15 @@ def test_killing_form_matches_the_dense_reference(rng):
 
 
 def test_int_operators_make_no_fraction_arithmetic(fractions_made):
-    # integer model points of the jacobi and killing seeds have int images
-    ops = [structure_constants(m) for seed, span in ((0, 6), (1, 4))
-           for m, _, _ in _int_and_fraction_draws(seed, span, False, n=50)]
+    # integer model points of the jacobi and killing seeds have int images;
+    # the only Fractions structure_constants makes are the linear parts of
+    # split_b1_b2 that 3 does not divide, one each
+    points = [m for seed, span in ((0, 6), (1, 4))
+              for m, _, _ in _int_and_fraction_draws(seed, span, False, n=50)]
+    thirds = sum(type(v) is F for m in points for v in split_b1_b2(m.x, m.y)[1].coeffs)
+    del fractions_made[:]
+    ops = [structure_constants(m) for m in points]
+    assert 0 < len(fractions_made) == thirds
     assert all(type(v) is int for d in ops for im in d.images for v in im.coeffs.values())
     del fractions_made[:]
     for d in ops:
