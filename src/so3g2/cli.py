@@ -171,14 +171,14 @@ def cmd_flow(args) -> int:
         raise SystemExit2("--g2-samples has no CSV form; use --format json")
     p = BinaryForm(3, parse_vector(args.p, 4))
     q0 = BinaryForm(3, parse_vector(args.q0, 4))
-    k, sign = lowest_term(q0, p)
+    line = Line(q0, p)
+    k, sign = lowest_term(line)
     if (k, sign) != (0, 1):
         # admissible endpoints may start the flow; anything else is refused
         try:
             endpoint_of_term(k, sign, q0)
         except InvalidEndpoint as exc:
             raise SystemExit2(f"initial data is not admissible: {exc}")
-    line = Line(q0, p)
     # Delta > 0 next to s = 0 on the side of the sign of its lowest term
     direction = args.direction or sign
     # a boundary root is passed as the end itself, so the clock sees its multiplicity
@@ -188,7 +188,8 @@ def cmd_flow(args) -> int:
     rows = []
     # s is a float, so every row is a float cubic: take the line in floats
     q0_f, p_f = q0.to_float(), p.to_float()
-    for s, t in zip(svals, line.times(svals).tolist()):
+    times = line.times(svals).tolist()
+    for s, t in zip(svals, times):
         q = line_cubic(q0_f, p_f, s)
         disc = float(discriminant(q))
         rows.append([s, t] + [float(v) for v in q.coeffs] + [clock_detg(disc), disc])
@@ -211,8 +212,7 @@ def cmd_flow(args) -> int:
         # a boundary root has no frame, nor has a row whose float Delta is not
         # positive (rounding next to a root): the G2 samples stop before either
         n = next((i for i, row in enumerate(rows) if row[0] == hit or row[7] <= 0), len(rows))
-        traj = line.trajectory(svals[:n])
-        data["g2_samples"] = assemble_g2(traj).to_json()
+        data["g2_samples"] = assemble_g2(line._frames(svals[:n], times[:n])).to_json()
     _emit(data, args.output, args.format)
     return 0
 

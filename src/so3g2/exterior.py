@@ -340,28 +340,21 @@ class CEOperator:
         return self.images[i - 1]
 
     def d_matrix(self, k: int) -> np.ndarray:
-        """d_k: Lambda^k -> Lambda^(k+1) in BASIS order, built on first use.
-
-        float64 when every image coefficient is a float; otherwise an
-        object array whose column p is apply_d of e^P, P = BASIS[k][p].
-        """
+        """d_k: Lambda^k -> Lambda^(k+1) in BASIS order as float64, built on
+        first use; only for an operator whose image coefficients are all
+        floats (see to_float)."""
+        if not self._floats:
+            raise ValueError("d_matrix needs a float operator; call to_float() first")
         m = self._d_matrices.get(k)
         if m is None:
             shape = (len(BASIS[k + 1]), len(BASIS[k]))
-            if self._floats:
-                images = np.stack([im.to_vector(float) for im in self.images], axis=1)
-                # d e^P = sum_j (e_j -| e^P) ^ de^j, the images being 2-forms
-                j, p, q, row, sign = _contract_wedge(k, 2)
-                keep = (images != 0)[q, j]
-                m = np.zeros(shape[0] * shape[1])
-                np.add.at(m, row[keep] * shape[1] + p[keep], sign[keep] * images[q[keep], j[keep]])
-                m = m.reshape(shape)
-            else:
-                m = np.zeros(shape, object)
-                for p, key in enumerate(BASIS[k]):
-                    col = apply_d(self, KForm(k, {key: 1}))
-                    for idx, v in col.coeffs.items():
-                        m[_POSITION[k + 1][idx], p] = v
+            images = np.stack([im.to_vector(float) for im in self.images], axis=1)
+            # d e^P = sum_j (e_j -| e^P) ^ de^j, the images being 2-forms
+            j, p, q, row, sign = _contract_wedge(k, 2)
+            keep = (images != 0)[q, j]
+            m = np.zeros(shape[0] * shape[1])
+            np.add.at(m, row[keep] * shape[1] + p[keep], sign[keep] * images[q[keep], j[keep]])
+            m = m.reshape(shape)
             self._d_matrices[k] = m
         return m
 

@@ -194,22 +194,14 @@ def _square_free_split(coeffs):
 def _poly_real_roots(coeffs) -> list[tuple[float, int]]:
     """Sorted (root, multiplicity) pairs of the real roots.
 
-    When a coefficient is a float, leading coefficients at or below 1e-14
-    of the largest are dropped as rounding residue of a degree drop; exact
-    coefficients are kept as they are.  The rest is decided exactly, on
-    the rational values of the coefficients: the square-free split gives
-    the multiplicities, and on each of its factors a Sturm chain counts
-    and isolates the real roots and bisection with exact signs narrows
-    each one to two adjacent floats.  A root is returned as the nearer of
-    them, so correctly rounded; a root that is a float is returned as
-    itself.
+    Decided exactly, on the rational values of the coefficients: the
+    square-free split gives the multiplicities, and on each of its factors
+    a Sturm chain counts and isolates the real roots and bisection with
+    exact signs narrows each one to two adjacent floats.  A root is
+    returned as the nearer of them, so correctly rounded; a root that is a
+    float is returned as itself.
     """
-    trimmed = list(coeffs)
-    if any(isinstance(c, float) for c in coeffs):
-        scale = max(abs(c) for c in coeffs)
-        while trimmed and abs(trimmed[0]) <= 1e-14 * scale:
-            trimmed.pop(0)
-    return sorted((r, k) for factor, k in _square_free_split(trimmed)
+    return sorted((r, k) for factor, k in _square_free_split(coeffs)
                   for r in _factor_roots(factor))
 
 
@@ -310,31 +302,36 @@ _NEWTON_STEPS = 100
 class Line:
     """The flow line q0 + s p with its discriminant polynomial Delta(s).
 
-    poly is exact when q0 and p are.  Its scaling to Python ints and its
-    exact real roots with their multiplicities are computed on first use:
-    times and s_at build them only for a panel that falls back to time or
-    a Newton step that needs an exact value.
+    The polynomial is built once, exactly, on the rational values of q0
+    and p: scaled = (ints, den) holds den Delta(s) as Python ints, den > 0.
+    Its real roots with their multiplicities are computed on first use:
+    times and s_at need them only for a panel that falls back to time or a
+    step that reaches the edge.
     """
 
     def __init__(self, q0: BinaryForm, p: BinaryForm):
         self.q0, self.p = q0, p
-        self.poly = line_discriminant_poly(q0, p)
-
-    @functools.cached_property
-    def scaled(self):
-        return scale_to_ints(self.poly)
+        ints, scale = scale_to_ints(q0.coeffs + p.coeffs)
+        # Delta is quartic in the coefficients: scale^4 Delta(s) on ints
+        self.scaled = (line_discriminant_poly(BinaryForm(3, ints[:4]), BinaryForm(3, ints[4:])),
+                       scale ** 4)
 
     @functools.cached_property
     def roots(self) -> list[tuple[float, int]]:
-        return _poly_real_roots(self.poly)
+        return _poly_real_roots(self.scaled[0])
 
     @functools.cached_property
     def _float_poly(self) -> np.ndarray:
-        return np.array([float(c) for c in self.poly])
+        """The coefficients of Delta, each rounded once from its exact value."""
+        ints, den = self.scaled
+        try:
+            return np.array([c / den for c in ints])
+        except OverflowError:
+            raise ValueError("the line's discriminant is beyond the float range") from None
 
     @functools.cached_property
     def _float_roots(self) -> np.ndarray:
-        """All complex roots of the float poly; they only choose panels."""
+        """All complex roots of the float coefficients; they only choose panels."""
         return np.roots(self._float_poly)
 
     def cubic(self, s) -> BinaryForm:
@@ -379,7 +376,7 @@ class Line:
         return total if s_from < s_to else -total
 
     def _horner(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Delta at the floats s by Horner on the float coefficients of poly,
+        """Delta at the floats s by Horner on the float coefficients,
         and where that value is positive and trusted: Horner's error bound
         sum |c_i| |s|^i is below _PANEL_CONDITION times it."""
         vals = _poly_eval(self._float_poly, s)
@@ -389,7 +386,7 @@ class Line:
         """Cumulative physical time from start to each of s_values in turn.
 
         Each step is one Gauss-Legendre panel on the float coefficients of
-        poly, all in one vectorised call.  A panel goes to time instead when
+        Delta, all in one vectorised call.  A panel goes to time instead when
         a root of Delta (np.roots, used for this choice only) lies within
         _PANEL_ROOT_DISTANCE half-widths of its midpoint or Horner's value
         at a node is not trusted, so an end that is a root keeps its exact
@@ -414,9 +411,9 @@ class Line:
         tangent at s0; det g comes from Horner's Delta, or from the exact
         value where that is not trusted.  t_grid is monotonic, Delta(s0) > 0.
         A step that would reach the edge (the nearest real part ahead of a
-        root of the float poly lying closer to the axis than to s0, so that
-        a real root returned as a complex cluster counts) or leave Delta > 0
-        stops halfway.  The first such step makes the first exact root
+        root of the float coefficients lying closer to the axis than to s0,
+        so that a real root returned as a complex cluster counts) or leave
+        Delta > 0 stops halfway.  The first such step makes the first exact root
         ahead the edge, and a grid that reaches it raises ValueError.
         """
         if float(discriminant(self.cubic(s0))) <= 0:
@@ -525,7 +522,7 @@ def _end_integral(shifted, width: float, k: int, gap: float = math.inf) -> float
 
 def _taylor_shift(scaled, end, sign: int) -> list[float]:
     """Coefficients, highest degree first, of poly(end + sign * u) in u,
-    with scaled = (ints, den) = scale_to_ints(poly).
+    where scaled = (ints, den) holds den poly on ints (Line.scaled).
 
     The shift is exact: with end = n/d and the coefficients over their
     common denominator it runs on Python ints, and each coefficient is
@@ -738,17 +735,11 @@ class InvalidEndpoint(ValueError):
     pass
 
 
-def lowest_term(q: BinaryForm, p: BinaryForm) -> tuple[Optional[int], int]:
-    """(k, sign) of the lowest term c_k s^k of Delta(q + s p): the
-    multiplicity k of s = 0 and the sign of c_k, decided on the Fraction
-    values of q and p; (None, 0) when Delta vanishes on the whole line.
-    The quartic is built only when the constant term Delta(q) is 0."""
-    q = BinaryForm(3, [F(v) for v in q.coeffs])
-    c0 = discriminant(q)
-    if c0:
-        return 0, (1 if c0 > 0 else -1)
-    poly = line_discriminant_poly(q, BinaryForm(3, [F(v) for v in p.coeffs]))
-    return next(((k, 1 if c > 0 else -1) for k, c in enumerate(reversed(poly)) if c),
+def lowest_term(line: Line) -> tuple[Optional[int], int]:
+    """(k, sign) of the lowest term c_k s^k of Delta(q0 + s p) on the line:
+    the multiplicity k of s = 0 and the sign of c_k, decided exactly;
+    (None, 0) when Delta vanishes on the whole line."""
+    return next(((k, 1 if c > 0 else -1) for k, c in enumerate(reversed(line.scaled[0])) if c),
                 (None, 0))
 
 
@@ -783,13 +774,13 @@ def endpoint_classify(p: BinaryForm, q_end: BinaryForm) -> EndpointInfo:
     divisor of p, and in both cases the line must enter the positive
     discriminant region next to the endpoint.  Anything else (in
     particular a double-but-not-triple root) raises InvalidEndpoint.
-    Decided exactly, on the Fraction values of p and q_end, by
+    Decided exactly, on the lowest term of the Line of q_end and p, by
     endpoint_of_term.
 
     The returned root is unit-normalized with its first nonzero
     component positive and the coefficient scaled so q_end = lambda * root^3.
     """
-    return endpoint_of_term(*lowest_term(q_end, p), q_end)
+    return endpoint_of_term(*lowest_term(Line(q_end, p)), q_end)
 
 
 # ---------------------------------------------------------------------------
@@ -811,12 +802,10 @@ def no_complete_line_witness(p: BinaryForm) -> tuple[float, int]:
         raise ValueError("p must be nonzero")
     if not is_halfflat_cubic(p, tol=1e-10):
         raise ValueError("p must satisfy the half-flat condition l2 = l4")
-    ints, _ = scale_to_ints(Q0.coeffs + p.coeffs)
-    # Delta is quartic in the coefficients: this is d^4 Delta(Q0 + s p) on ints
-    line = Line(BinaryForm(3, ints[:4]), BinaryForm(3, ints[4:]))
+    line = Line(Q0, p)
     for r, _ in line.roots:
         for s in (math.nextafter(r, -math.inf), math.nextafter(r, math.inf)):
-            if _sign_at(line.poly, *s.as_integer_ratio()) < 0:
+            if _sign_at(line.scaled[0], *s.as_integer_ratio()) < 0:
                 return s, 0
     if line.roots:
         return line.roots[0]

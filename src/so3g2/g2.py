@@ -111,7 +111,7 @@ def central_difference(f: Callable, h: float):
     return (f(-2) - 8.0 * f(-1) + 8.0 * f(1) - f(2)) / (12.0 * h)
 
 
-def check_closedness(samples: G2Samples, d: CEOperator, star_dt_sign: float = 1.0):
+def check_closedness(samples: G2Samples, d: CEOperator):
     """(max |d phi|, max |d star_phi|) over interior samples.
 
     Exterior derivative in the six group directions comes from the
@@ -141,9 +141,9 @@ def check_closedness(samples: G2Samples, d: CEOperator, star_dt_sign: float = 1.
     # d phi = d6 gamma + (d6 sigma - gamma') ^ dt
     dphi = max(np.abs(d_rows(gammas, 3)).max(),
                np.abs(d_rows(sigmas, 2) - ddt(gammas)).max())
-    # d star = d6(sigma^2/2) + (sign * d6 gamma_hat + (sigma^2/2)') ^ dt
+    # d star = d6(sigma^2/2) + (d6 gamma_hat + (sigma^2/2)') ^ dt
     dstar = max(np.abs(d_rows(half_sigma2s, 4)).max(),
-                np.abs(star_dt_sign * d_rows(ghats, 3) + ddt(half_sigma2s)).max())
+                np.abs(d_rows(ghats, 3) + ddt(half_sigma2s)).max())
     return float(dphi), float(dstar)
 
 

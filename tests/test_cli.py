@@ -16,7 +16,7 @@ import so3g2
 from so3g2 import cli
 from so3g2.binaryform import BinaryForm, GL2
 from so3g2.cli import build_parser, main, parse_scalar
-from so3g2.flow import FlowState, integrate_line, lowest_term
+from so3g2.flow import FlowState, Line, integrate_line, lowest_term
 from so3g2.g2 import assemble_g2
 from so3g2.verify import ALL_SUITES, SAMPLED_SUITES
 from fractions import Fraction
@@ -155,6 +155,18 @@ def test_flow_bs_trajectory_with_endpoint(capsys):
     assert data["endpoint"]["kind"] == "TripleRootDividingP"
 
 
+@pytest.mark.parametrize("p", ["0.3,0,0.5,0", "3/10,0,1/2,0"])
+def test_flow_on_float_input_ends_at_its_triple_root(capsys, p):
+    # Delta = -4 (1/3 + 0.3 s) (0.5 s - 1)^3 on the values of the inputs: the
+    # triple root s = 2 ends the line, spelt in floats or in rationals
+    code, out = run_cli(capsys, "flow", "--p", p, "--q0", "1/3,0,-1,0",
+                        "--s-max", "4", "--steps", "4")
+    assert code == 0
+    data = json.loads(out)
+    assert [row[0] for row in data["rows"]] == [0.5, 1.0, 1.5, 2.0]
+    assert data["endpoint"]["kind"] == "TripleRootDividingP"
+
+
 def test_flow_g2_samples_for_a_direction_without_rational_factor(capsys):
     # p = u1^3 + u1 u2^2 + 3 u2^3 has one real linear factor, irrational;
     # the boundary root ends the rows and has no frame, so no G2 sample
@@ -203,12 +215,10 @@ def test_flow_g2_sample_times_are_the_row_times(capsys, argv):
 
 
 def test_flow_g2_samples_stop_before_a_row_with_delta_not_positive(capsys):
-    # s-max lies within rounding below the line's root, so no boundary is
-    # hit, and the float Delta of the last row is -5.6e-17
-    code, out = run_cli(capsys, "flow",
-                        "--p=0.25574561836315185,-0.4586838092953731,1.0358638360176367,"
-                        "-0.4586838092953731", "--q0=1/3,0,-1,0",
-                        "--s-max=0.4089819534927689", "--g2-samples")
+    # s-max is the float just below the line's first root, so no boundary
+    # is hit, and the float Delta of the last row is -8.9e-16
+    code, out = run_cli(capsys, "flow", "--p=1.49,-1.16,-1.14,-1.16", "--q0=1/3,0,-1,0",
+                        "--s-max=0.43717871605721836", "--g2-samples")
     assert code == 0
     data = json.loads(out)
     assert len(data["rows"]) == 80 and data["rows"][-1][7] <= 0
@@ -230,7 +240,7 @@ def test_flow_stops_at_a_boundary_root_next_to_the_start(capsys):
 def test_flow_from_an_admissible_endpoint_leaves_s_0(capsys):
     # Delta = -4 (2 + s) s^3: the triple root s = 0 is the start, not a boundary;
     # its lowest term -8 s^3 is negative, so the flow leaves to the left
-    assert lowest_term(BinaryForm(3, [2, 0, 0, 0]), BinaryForm(3, [1, 0, 1, 0])) == (3, -1)
+    assert lowest_term(Line(BinaryForm(3, [2, 0, 0, 0]), BinaryForm(3, [1, 0, 1, 0]))) == (3, -1)
     code, out = run_cli(capsys, "flow", "--q0", "2,0,0,0", "--p", "1,0,1,0", "--steps", "4")
     assert code == 0
     assert [row[0] for row in json.loads(out)["rows"]] == [-0.5, -1.0, -1.5, -2.0]
@@ -303,6 +313,18 @@ def test_flow_with_roots_beyond_the_float_range_is_a_usage_error(capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: real roots bounded only by 2^1329, beyond the float range"]
+
+
+@pytest.mark.parametrize("p", ["1e100,0,1e100,0", "1e200,0,1e200,0"])
+def test_flow_with_a_discriminant_beyond_the_float_range_is_a_usage_error(capsys, p):
+    # the roots are exact, but the clock's float coefficients (about 4e400
+    # and 4e800 at s^4) are not
+    code = main(["flow", "--p", p, "--q0", "1/3,0,-1,0", "--steps", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the line's discriminant is beyond the float range"]
 
 
 BEYOND_FLOAT = str(10 ** 400)

@@ -289,9 +289,11 @@ def test_pullback_matches_loop_reference(m_kind, a_kind):
 
 def test_d_matrix_dtype_follows_the_images():
     exact = structure_constants(ModelPoint.make([1, 2], [1, 0, -1]))
-    assert exact.d_matrix(2).dtype == object
-    assert exact.d_matrix(2) is exact.d_matrix(2)  # built once per operator
-    assert exact.to_float().d_matrix(2).dtype == float
+    with pytest.raises(ValueError, match="float operator"):
+        exact.d_matrix(2)
+    flt = exact.to_float()
+    assert flt.d_matrix(2).dtype == float
+    assert flt.d_matrix(2) is flt.d_matrix(2)  # built once per operator
     dd = apply_d(exact, SIGMA)
     assert not dd.is_zero() and all(type(v) is F for v in dd.coeffs.values())
     d4 = apply_d(exact, KForm.basis(4))
@@ -419,7 +421,8 @@ def test_symbolic_d_squared_residual_vanishes():
     # the max inside d_squared_residual decide on polynomials
     _, x1, x2, y1, y2, y3 = sp.ring("x1 x2 y1 y2 y3", sp.QQ)
     d = structure_constants(ModelPoint.make([x1, x2], [y1, y2, y3]))
-    assert d.d_matrix(2).dtype == object
+    with pytest.raises(ValueError, match="float operator"):
+        d.d_matrix(2)
     assert d_squared_residual(d) == 0
     # negative control: a perturbed bracket breaks Jacobi as a polynomial identity
     imgs = list(d.images)

@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 
 from so3g2 import verify
 from so3g2.binaryform import BinaryForm, GL2, act, discriminant, q_invert, q_map
-from so3g2._exact import scale_to_ints
 from so3g2.cli import main
 from so3g2.flow import (
     CANONICAL_GENERATORS,
@@ -143,6 +142,48 @@ def test_time_integral_against_plain_quadrature():
         ref, _ = quad(lambda u: (3 * (u + lam)) ** (-1 / 6) * u ** (-0.5),
                       0, s, points=[0], limit=300)
         assert abs(mine - ref) < 1e-10
+
+
+#: (a, c) of the lines p = (a, 0, c, 0) of the beta clock reference
+BETA_LINES = [(0.3, 0.5), (1.0, 1.0), (0.7, 1.3), (2.0, 0.25)]
+
+
+def _beta_clock(a, c, s):
+    """The clock from 0 to s on Q0 + s (a, 0, c, 0), a, c > 0, in closed form.
+
+    There Delta = 4 a c^3 (s - r1) (r2 - s)^3 with r1 = -1/(3a) < 0 < r2 =
+    1/c, and u = (s - r1) / (r2 - r1) turns the integral of (3/4 Delta)^(-1/6)
+    into an incomplete beta integral with parameters (5/6, 1/2)."""
+    from scipy.special import beta, betainc
+
+    r1, r2 = -1.0 / (3.0 * a), 1.0 / c
+    width = r2 - r1
+    u, u0 = (s - r1) / width, -r1 / width
+    return ((3.0 * a * c ** 3) ** (-1.0 / 6.0) * width ** (1.0 / 3.0) * beta(5 / 6, 0.5)
+            * (betainc(5 / 6, 0.5, u) - betainc(5 / 6, 0.5, u0)))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("a, c", BETA_LINES)
+def test_clock_against_the_incomplete_beta_function(a, c, exact):
+    # an independent reference for the clock up to and at the triple root
+    # r2 = 1/c, on float and on rational inputs; Delta = -4 q1(s) q3(s)^3
+    # keeps its triple root on the exact values of float inputs too
+    q0, p = Q0, BinaryForm(3, [a, 0, c, 0])
+    if exact:
+        p = BinaryForm(3, [F(str(a)), 0, F(str(c)), 0])
+    else:
+        q0 = Q0.to_float()
+    line = Line(q0, p)
+    # the roots -q1(0)/a and -q3(0)/c, correctly rounded
+    assert line.roots == [(float(-F(q0.coeffs[i]) / F(p.coeffs[i])), k)
+                          for i, k in ((0, 1), (2, 3))]
+    r2 = line.roots[-1][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (0.2 * r2, 0.7 * r2, 0.999 * r2, r2):
+            ref = _beta_clock(a, c, s)
+            assert abs(line.time(0.0, s) - ref) <= 1e-14 * ref, (s, line.time(0.0, s), ref)
 
 
 def test_advance_static_and_clamp():
@@ -337,7 +378,7 @@ def test_endpoint_table_at_the_normal_forms():
     ((F(1, 3), 0, -1, 0), (0, 0, 1, 0), (0, 1)),
 ])
 def test_lowest_term_at_the_normal_forms(q_end, p, term):
-    assert lowest_term(BinaryForm(3, list(q_end)), BinaryForm(3, list(p))) == term
+    assert lowest_term(Line(BinaryForm(3, list(q_end)), BinaryForm(3, list(p)))) == term
 
 
 def _certified(p, s, k):
@@ -818,8 +859,7 @@ def _noncomplete_lines():
         p = BinaryForm(3, [lam[0], lam[1], lam[2], lam[1]])
         if p.norm() < 0.05:
             continue
-        ints, _ = scale_to_ints(Q0.coeffs + p.coeffs)
-        yield Line(BinaryForm(3, ints[:4]), BinaryForm(3, ints[4:])).poly
+        yield Line(Q0, p).scaled[0]
 
 
 def _flow_g2_lines(seed):
@@ -882,12 +922,12 @@ def test_split_and_roots_on_ints_match_the_fraction_reference():
 @pytest.mark.parametrize("seed", [1, 90210])
 def test_flow_g2_line_roots_match_the_fraction_reference(seed):
     for line in _flow_g2_lines(seed):
-        _assert_split_and_roots_match_the_reference(line.poly, line.roots)
+        _assert_split_and_roots_match_the_reference(line.scaled[0], line.roots)
 
 
 def test_sturm_chains_make_no_fraction_arithmetic(fractions_made):
     # the split makes only its monic factors; the chains and bisection none
-    polys = list(_noncomplete_lines())[:20] + [line.poly for line in _flow_g2_lines(1)[:20]]
+    polys = list(_noncomplete_lines())[:20] + [line.scaled[0] for line in _flow_g2_lines(1)[:20]]
     for poly in polys:
         made = len(fractions_made)
         split = _square_free_split(poly)
@@ -918,8 +958,11 @@ def test_real_roots_carry_exact_multiplicities():
     poly = line_discriminant_poly(BinaryForm(3, [F(-3, 2), 0, F(3, 2), 0]),
                                   BinaryForm(3, [1, 0, -1, 0]))
     assert _poly_real_roots(poly) == [(1.5, 4)]
-    # a leading coefficient at rounding level is a degree drop
-    assert _poly_real_roots([1e-20, 1.0, -2.0, 1.0]) == [(1.0, 2)]
+    # a zero leading coefficient is a degree drop; a float one, however
+    # small, is the rational it represents
+    assert _poly_real_roots([0.0, 1.0, -2.0, 1.0]) == [(1.0, 2)]
+    assert _poly_real_roots([1e-20, 1.0, -2.0, 1.0]) \
+        == _poly_real_roots([F(1e-20), 1, -2, 1]) == [(-1e20, 1)]
     assert _poly_real_roots([5]) == []
 
 
@@ -938,8 +981,7 @@ def _correctly_rounded(coeffs, r):
 
 
 def test_real_roots_keep_an_exact_small_leading_coefficient():
-    # s^2 / 10^15 + s - 1: roots 0.999999999999999... and about -1e15; the
-    # 1e-14 degree-drop trim is for float residue, not for exact values
+    # s^2 / 10^15 + s - 1: roots 0.999999999999999... and about -1e15
     coeffs = [F(1, 10 ** 15), 1, -1]
     got = _poly_real_roots(coeffs)
     assert [k for _, k in got] == [1, 1]
@@ -947,8 +989,11 @@ def test_real_roots_keep_an_exact_small_leading_coefficient():
     assert near_one < 1.0 and abs(near_one - 1.0) < 1e-14
     assert -1.0000000000000011e15 < big < -0.999e15
     assert _correctly_rounded(coeffs, near_one) and _correctly_rounded(coeffs, big)
-    # the same values as floats are a degree drop, as before
-    assert _poly_real_roots([1e-15, 1.0, -1.0]) == [(1.0, 1)]
+    # the same values as floats are the rationals they represent: no
+    # leading coefficient is dropped as rounding residue
+    floats = [1e-15, 1.0, -1.0]
+    assert _poly_real_roots(floats) == _poly_real_roots([F(c) for c in floats])
+    assert [k for _, k in _poly_real_roots(floats)] == [1, 1]
 
 
 def test_real_roots_are_exact_floats_where_possible():
@@ -1219,11 +1264,12 @@ def test_panel_clock_next_to_a_complex_pair_against_mpmath(mpmath, monkeypatch):
     line = Line(*COMPLEX_PAIR_LINE)
     assert min(abs(z - complex(-0.3973, 0.2942)) for z in line._float_roots) < 1e-4
     assert line._horner(-0.4 + flow._GL_NODES)[1].all()
-    ref = _mp_clock(mpmath, line.poly, -1.4, 0.6)
+    exact = [F(c, line.scaled[1]) for c in line.scaled[0]]
+    ref = _mp_clock(mpmath, exact, -1.4, 0.6)
     assert abs(line.times([0.6], start=-1.4)[0] - ref) <= 1e-13 * ref
     # the inverse from s0 = -1.4, with its Newton panels next to the pair
     s_values = [-1.0, -0.6, -0.2, 0.2, 0.6]
-    t_grid = [0.0] + [float(_mp_clock(mpmath, line.poly, -1.4, s)) for s in s_values]
+    t_grid = [0.0] + [float(_mp_clock(mpmath, exact, -1.4, s)) for s in s_values]
     got = Line(*COMPLEX_PAIR_LINE).s_at(t_grid, -1.4)
     assert got[0] == -1.4
     for g, s in zip(got[1:], s_values):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -58,7 +59,8 @@ def test_closedness_on_symmetric_trajectory():
 def test_closedness_convention_is_unique():
     d, traj = bs_setup(t_len=0.02)
     samples = assemble_g2(traj)
-    _, dstar_wrong = check_closedness(samples, d, star_dt_sign=-1.0)
+    # the opposite sign of the d gamma_hat ^ dt term
+    _, dstar_wrong = check_closedness(replace(samples, gamma_hat=-samples.gamma_hat), d)
     assert dstar_wrong > 1e-2
 
 
@@ -352,7 +354,7 @@ def loop_assemble(traj):
     return out
 
 
-def loop_closedness(forms, d, h, star_dt_sign=1.0):
+def loop_closedness(forms, d, h):
     """check_closedness as a loop of apply_d over the samples."""
     d = d.to_float()
     gammas, sigmas, half_sigma2s, ghats = zip(*forms)
@@ -365,7 +367,7 @@ def loop_closedness(forms, d, h, star_dt_sign=1.0):
         max_dphi = max(max_dphi, apply_d(d, gammas[i]).max_abs(),
                        (apply_d(d, sigmas[i]) - ddt(gammas, i)).max_abs())
         max_dstar = max(max_dstar, apply_d(d, half_sigma2s[i]).max_abs(),
-                        (star_dt_sign * apply_d(d, ghats[i]) + ddt(half_sigma2s, i)).max_abs())
+                        (apply_d(d, ghats[i]) + ddt(half_sigma2s, i)).max_abs())
     return max_dphi, max_dstar
 
 
@@ -384,11 +386,12 @@ def test_closedness_matches_per_sample_loop(x, y):
         assert gamma_row.tolist() == gamma.to_vector(float).tolist()
         assert np.abs(ghat_row - ghat.to_vector(float)).max() <= 1e-14 * ghat.max_abs()
     for sign in (1.0, -1.0):
-        got = check_closedness(samples, d, star_dt_sign=sign)
-        want = loop_closedness(forms, d, tg[1] - tg[0], star_dt_sign=sign)
+        # sign -1 flips the sign of the d gamma_hat ^ dt term, exactly
+        got = check_closedness(replace(samples, gamma_hat=sign * samples.gamma_hat), d)
+        want = loop_closedness([(g, s, h, sign * gh) for g, s, h, gh in forms], d, tg[1] - tg[0])
         assert all(type(v) is float for v in got)
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
-        # the opposite star_dt sign fails on every class
+        # the opposite sign fails on every class
         assert (got[1] > 1e-2) == (sign < 0)
 
 

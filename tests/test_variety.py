@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_exact_point, random_float_point
-from so3g2 import verify
+from so3g2 import variety, verify
 from so3g2._exact import mat_det, mat_rank, sym_signature
 from so3g2.binaryform import BinaryForm, GL2, discriminant, resultant, split_b1_b2
 from so3g2.exterior import CEOperator, KForm, apply_d, d_squared_residual, wedge
@@ -558,6 +558,29 @@ def test_classify_orbit_invariance(rng):
             if g.det() != 0:
                 break
         assert classify(m) == classify(act_on_point(g, m))
+
+
+def test_classify_reads_gl2_invariant_signs_symbolically(monkeypatch):
+    # criterion 3 as one identity: Delta(g.y) = det(g)^2 Delta(y) and
+    # R(g.x, g.y) = det(g)^2 R(x, y) under act, so the signs and zeros that
+    # classify reads are constant on GL2 orbits
+    sp = pytest.importorskip("sympy")
+    a, b, c, d, x1, x2, y1, y2, y3 = sp.symbols("a b c d x1 x2 y1 y2 y3")
+    g = GL2(a, b, c, d)
+    m = ModelPoint(BinaryForm(1, [x1, x2]), BinaryForm(2, [y1, y2, y3]))
+    det2 = g.det() ** 2
+
+    def defects():
+        gm = act_on_point(g, m)
+        return (sp.expand(discriminant(gm.y) - det2 * discriminant(m.y)),
+                sp.expand(resultant(gm.x, gm.y) - det2 * resultant(m.x, m.y)))
+
+    assert defects() == (0, 0)
+    # negative control: act with one entry of its substitution negated
+    # (u1 -> w u1 + b u2 for w u1 - b u2) breaks both identities
+    monkeypatch.setattr(variety, "act",
+                        lambda g, f: f.substitute(g.w, g.y, -g.z, g.x))
+    assert all(defect != 0 for defect in defects())
 
 
 def test_classify_decides_floats_exactly():
